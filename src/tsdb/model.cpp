@@ -1,6 +1,7 @@
 #include "tsdb/model.hpp"
 
 #include <algorithm>
+#include <iterator>
 
 #include "common/error.hpp"
 #include "common/hash.hpp"
@@ -107,7 +108,7 @@ void Series::append(Point p) {
   update_rollups(p);
 
   const auto insert_sorted = [&](Chunk& chunk) {
-    if (chunk.points.empty() || chunk.points.back().time <= p.time) {
+    if (chunk.points.back().time <= p.time) {
       chunk.points.push_back(p);
       return;
     }
@@ -152,7 +153,6 @@ std::optional<TimePoint> Series::newest(
     std::optional<TimePoint> horizon) const {
   for (auto chunk = chunks_.rbegin(); chunk != chunks_.rend(); ++chunk) {
     const std::vector<Point>& pts = chunk->points;
-    if (pts.empty()) continue;
     if (!horizon.has_value()) return pts.back().time;
     // Last point with time <= horizon within this chunk, else keep looking
     // in earlier chunks.
@@ -174,7 +174,8 @@ std::size_t Series::drop_before(TimePoint horizon) {
     ++it;
   }
   chunks_.erase(chunks_.begin(), it);
-  // Partial trim of a straddling chunk: points strictly older than h.
+  // Partial trim of a straddling chunk: points strictly older than h. A
+  // chunk the trim empties goes too: no chunk is ever left without points.
   if (!chunks_.empty() && chunks_.front().start_us < h) {
     std::vector<Point>& pts = chunks_.front().points;
     const auto first_kept = std::lower_bound(
@@ -182,7 +183,11 @@ std::size_t Series::drop_before(TimePoint horizon) {
           return p.time.micros_since_epoch() < t;
         });
     dropped += static_cast<std::size_t>(first_kept - pts.begin());
-    pts.erase(pts.begin(), first_kept);
+    if (first_kept == pts.end()) {
+      chunks_.erase(chunks_.begin());
+    } else {
+      pts.erase(pts.begin(), first_kept);
+    }
   }
   size_ -= dropped;
   // Rollup buckets go only once fully expired (start + level <= h), so a
@@ -249,9 +254,13 @@ void Measurement::append(const Tags& tags, const std::string& key, Point p) {
 }
 
 std::size_t Measurement::drop_before(TimePoint horizon) {
+  // A series retention leaves with no points and no rollup buckets can
+  // never contribute to a query again, so it is erased: every later
+  // per-series walk then costs O(live series), not O(series ever written).
   std::size_t dropped = 0;
-  for (auto& [key, s] : series_) {
-    dropped += s.drop_before(horizon);
+  for (auto it = series_.begin(); it != series_.end();) {
+    dropped += it->second.drop_before(horizon);
+    it = it->second.empty() ? series_.erase(it) : std::next(it);
   }
   points_ -= dropped;
   return dropped;

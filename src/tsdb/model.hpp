@@ -17,6 +17,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <functional>
+#include <iterator>
 #include <map>
 #include <mutex>
 #include <optional>
@@ -80,7 +81,7 @@ class Series {
   struct Chunk {
     std::int64_t start_us = 0;  // inclusive
     std::int64_t end_us = 0;    // exclusive; every point time < end_us
-    std::vector<Point> points;  // sorted by time (stable for equal times)
+    std::vector<Point> points;  // never empty; sorted by time (stable)
   };
 
   [[nodiscard]] const Tags& tags() const { return tags_; }
@@ -89,6 +90,12 @@ class Series {
   /// consumers only; the executor iterates chunks in place.
   [[nodiscard]] std::vector<Point> points() const;
   [[nodiscard]] std::size_t size() const { return size_; }
+  /// No points and no rollup buckets: nothing a query could ever read.
+  [[nodiscard]] bool empty() const {
+    return chunks_.empty() &&
+           std::all_of(std::begin(rollups_), std::end(rollups_),
+                       [](const auto& buckets) { return buckets.empty(); });
+  }
   [[nodiscard]] std::size_t chunk_count() const { return chunks_.size(); }
   [[nodiscard]] const std::vector<Chunk>& chunks() const { return chunks_; }
 
@@ -130,8 +137,8 @@ class Series {
       std::optional<TimePoint> horizon) const;
 
   /// Drops points strictly older than `horizon` (whole chunks where
-  /// possible) and rollup buckets that are entirely expired. Returns how
-  /// many points were dropped.
+  /// possible; a chunk left with no points is removed) and rollup buckets
+  /// that are entirely expired. Returns how many points were dropped.
   std::size_t drop_before(TimePoint horizon);
 
   /// Merges adjacent chunks that are sealed (end <= sealed_before_us) and
@@ -192,6 +199,8 @@ class Measurement {
     return series_.end();
   }
 
+  /// Series::drop_before on every series, then erases each series left
+  /// empty(). Returns how many points were dropped.
   std::size_t drop_before(TimePoint horizon);
   std::size_t compact(std::int64_t sealed_before_us);
 
@@ -271,7 +280,8 @@ class Database {
       const std::string& measurement, std::size_t shard,
       const std::function<void(const std::string&, const Series&)>& f) const;
 
-  /// Deletes all points older than now - retention across all measurements.
+  /// Deletes all points older than now - retention across all measurements
+  /// and erases every series that leaves empty (Measurement::drop_before).
   /// Returns the number of points dropped. The monitoring pipeline calls
   /// this periodically so long replays do not grow without bound.
   std::size_t enforce_retention(TimePoint now, Duration retention);

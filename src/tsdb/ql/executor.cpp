@@ -6,6 +6,8 @@
 #include <cmath>
 #include <cstdio>
 #include <limits>
+#include <optional>
+#include <string>
 #include <thread>
 
 #include "common/error.hpp"
@@ -440,14 +442,11 @@ GroupMap scan_shard(const Database& db, const ScanSpec& spec,
       *spec.measurement, shard,
       [&](const std::string&, const Series& series) {
         if (stats != nullptr) ++stats->series;
-        // The group key is a pure function of the series tags — compute it
-        // once per series instead of once per point.
+        // The group key is a pure function of the series tags. It is built
+        // once per series, and only when the series folds its first point:
+        // a series with nothing in the window costs no allocation.
         Tags key;
-        for (const std::string& tag : stmt.group_by) {
-          const auto it = series.tags().find(tag);
-          key.emplace(tag, it == series.tags().end() ? "" : it->second);
-        }
-        const std::string base_key = tags_key(key);
+        std::optional<std::string> base_key;
 
         Group* current = nullptr;
         std::int64_t current_bucket = kInt64Min;
@@ -456,7 +455,14 @@ GroupMap scan_shard(const Database& db, const ScanSpec& spec,
           if (current != nullptr && (!bucketed || bucket == current_bucket)) {
             return *current;
           }
-          std::string key_str = base_key;
+          if (!base_key.has_value()) {
+            for (const std::string& tag : stmt.group_by) {
+              const auto it = series.tags().find(tag);
+              key.emplace(tag, it == series.tags().end() ? "" : it->second);
+            }
+            base_key = tags_key(key);
+          }
+          std::string key_str = *base_key;
           if (bucketed) key_str += bucket_suffix(bucket);
           auto it = groups.find(key_str);
           if (it == groups.end()) {

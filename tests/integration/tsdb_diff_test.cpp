@@ -17,6 +17,7 @@
 // thread fan-out path must agree too.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstring>
 #include <memory>
@@ -293,6 +294,72 @@ TEST(TsdbDiffTargeted, QuantileSketchesMergeDeterministically) {
            "WHERE time >= now() - 300s GROUP BY time(60s), pod_name",
        }) {
     check_query(set, text, now, "quantiles");
+  }
+}
+
+TEST(TsdbDiffTargeted, RetentionErasesDeadSeriesIdentically) {
+  // Pods with finite lifetimes: some stop writing well before the
+  // retention horizon (their series must be erased), some stop just
+  // before it (only a straddling 60 s rollup bucket keeps them) and some
+  // are still live. Erasure must leave every shard count with the same
+  // series and the same answers.
+  std::vector<std::unique_ptr<Database>> stores;
+  for (const std::size_t shards : kShardCounts) {
+    DatabaseConfig config;
+    config.shards = shards;
+    config.chunk_width = Duration::seconds(120);
+    stores.push_back(std::make_unique<Database>(config));
+  }
+  const TimePoint now = at(3600);
+  const Duration retention = Duration::minutes(20);
+  const std::int64_t horizon_s = 3600 - 20 * 60;
+  Rng rng{4343};
+  std::size_t expected_live = 0;
+  for (int p = 0; p < 40; ++p) {
+    const Tags tags{{"pod_name", "p" + std::to_string(p)},
+                    {"nodename", "n" + std::to_string(p % 3)}};
+    const std::int64_t start = rng.uniform_int(0, 3000);
+    const std::int64_t end =
+        std::min<std::int64_t>(3600, start + rng.uniform_int(30, 1800));
+    std::int64_t last = start;
+    for (std::int64_t t = start; t <= end; t += 5) {
+      const double value = static_cast<double>(rng.uniform_int(0, 500));
+      for (auto& db : stores) db->write("sgx/epc", tags, at(t), value);
+      last = t;
+    }
+    // Alive while a point or its 60 s bucket outlasts the horizon.
+    if ((last / 60) * 60 + 60 > horizon_s) ++expected_live;
+  }
+  ASSERT_GT(expected_live, 0u);
+  ASSERT_LT(expected_live, 40u);
+
+  for (auto& db : stores) db->maintain(now, retention);
+  for (auto& db : stores) {
+    EXPECT_EQ(db->series_count("sgx/epc"), expected_live)
+        << db->shard_count() << " shards";
+  }
+
+  Rng queries{4344};
+  std::vector<std::string> battery{"SELECT COUNT(value) AS n FROM \"sgx/epc\"",
+                                   "SELECT COUNT(value) AS n FROM \"sgx/epc\" "
+                                   "WHERE time >= 0s GROUP BY pod_name"};
+  for (int i = 0; i < 30; ++i) battery.push_back(random_query(queries));
+  for (const std::string& text : battery) {
+    const ql::PreparedQuery prepared = ql::PreparedQuery::prepare(text);
+    const ql::ResultSet want = prepared.execute(*stores[0], now);
+    for (std::size_t i = 1; i < stores.size(); ++i) {
+      for (const ql::ScanMode mode :
+           {ql::ScanMode::kSerial, ql::ScanMode::kParallel}) {
+        ql::ExecOptions options;
+        options.mode = mode;
+        expect_bit_identical(
+            want, prepared.execute(*stores[i], now, {}, options),
+            "dead-series erasure [" +
+                std::to_string(stores[i]->shard_count()) + " shards, " +
+                (mode == ql::ScanMode::kSerial ? "serial" : "parallel") +
+                "] " + text);
+      }
+    }
   }
 }
 

@@ -99,6 +99,35 @@ TEST_F(MonitoringFixture, HeapsterEnforcesRetention) {
   EXPECT_LE(db_.total_points(), 8u);
 }
 
+TEST_F(MonitoringFixture, HeapsterErasesSeriesOfFinishedPods) {
+  // Bounded state: the series count stays O(active pods + retention
+  // window), not O(pods ever scraped).
+  Heapster heapster{sim_, api_, db_, Duration::seconds(10),
+                    Duration::seconds(60)};
+  heapster.start();
+  api_.submit(standard_pod("short", 1_GiB, Duration::seconds(30)));
+  api_.submit(standard_pod("long", 1_GiB, Duration::hours(2)));
+  ASSERT_TRUE(api_.try_bind("short", "node-1",
+                            api_.pod("short").resource_version)
+                  .bound());
+  ASSERT_TRUE(api_.try_bind("long", "node-1",
+                            api_.pod("long").resource_version)
+                  .bound());
+  sim_.run_until(TimePoint::epoch() + Duration::seconds(25));
+  EXPECT_EQ(db_.series_count("memory/usage"), 2u);
+  // Past the short pod's end plus retention plus one 60 s rollup bucket,
+  // nothing of it is left for a query to read.
+  sim_.run_until(TimePoint::epoch() + Duration::minutes(5));
+  heapster.stop();
+  ASSERT_EQ(api_.pod("short").phase, cluster::PodPhase::kSucceeded);
+  EXPECT_EQ(db_.series_count("memory/usage"), 1u);
+  const tsdb::ql::ResultSet result = tsdb::ql::query(
+      "SELECT LAST(value) AS mem FROM \"memory/usage\" GROUP BY pod_name",
+      db_, sim_.now());
+  ASSERT_EQ(result.rows.size(), 1u);
+  EXPECT_EQ(result.rows[0].tags.at("pod_name"), "long");
+}
+
 TEST_F(MonitoringFixture, SgxProbeReportsPodEpcInBytes) {
   api_.submit(sgx_pod("enclave", Pages{2048}, Duration::minutes(5)));
   ASSERT_TRUE(api_.try_bind("enclave", "sgx-1",

@@ -7,6 +7,8 @@
 #include <vector>
 
 #include "common/error.hpp"
+#include "tsdb/ql/executor.hpp"
+#include "tsdb/ql/prepared.hpp"
 
 namespace sgxo::tsdb {
 namespace {
@@ -179,6 +181,46 @@ TEST(Series, DropBeforeAcrossChunks) {
   EXPECT_EQ(s.size(), 15u);
   EXPECT_EQ(s.points().front().time, at(150));
   EXPECT_EQ(s.chunk_count(), 2u);
+}
+
+TEST(Series, DropBeforeErasesChunkItEmpties) {
+  SeriesOptions options;
+  options.chunk_width_us = Duration::seconds(100).micros_count();
+  Series s{{}, options};
+  for (int i = 0; i < 400; i += 10) {
+    s.append({at(i), static_cast<double>(i)});
+  }
+  ASSERT_EQ(s.chunk_count(), 4u);
+  // Horizon 195 s: [0,100) drops whole and the trim of [100,200) removes
+  // every point of it, so that chunk goes too instead of lingering empty.
+  EXPECT_EQ(s.drop_before(at(195)), 20u);
+  EXPECT_EQ(s.chunk_count(), 2u);
+  EXPECT_EQ(s.size(), 20u);
+  const auto flat = s.points();
+  ASSERT_EQ(flat.size(), 20u);
+  for (std::size_t i = 0; i < flat.size(); ++i) {
+    EXPECT_EQ(flat[i].time, at(200 + 10 * static_cast<std::int64_t>(i)));
+    EXPECT_DOUBLE_EQ(flat[i].value, 200.0 + 10.0 * static_cast<double>(i));
+  }
+  EXPECT_FALSE(s.newest(at(199)).has_value());
+  EXPECT_EQ(s.newest(std::nullopt), at(390));
+}
+
+TEST(Series, EmptyOnlyWithNoPointsAndNoRollupBuckets) {
+  Series s{{}};
+  EXPECT_TRUE(s.empty());
+  s.append({at(65), 1.0});
+  EXPECT_FALSE(s.empty());
+  // Horizon 100 s: the point and its 10 s bucket [60,70) expire, but the
+  // 60 s bucket [60,120) still straddles the horizon.
+  s.drop_before(at(100));
+  EXPECT_EQ(s.size(), 0u);
+  EXPECT_EQ(s.chunk_count(), 0u);
+  EXPECT_TRUE(s.rollup(0).empty());
+  ASSERT_EQ(s.rollup(1).size(), 1u);
+  EXPECT_FALSE(s.empty());
+  s.drop_before(at(120));
+  EXPECT_TRUE(s.empty());
 }
 
 TEST(Series, CompactMergesSealedChunks) {
@@ -361,6 +403,100 @@ TEST(Database, ShardedRetentionMatchesFlat) {
   const std::size_t b = flat.enforce_retention(at(100), Duration::seconds(30));
   EXPECT_EQ(a, b);
   EXPECT_EQ(sharded.total_points(), flat.total_points());
+}
+
+// --- Dead-series erasure ------------------------------------------------
+
+// Raw points at 60/70/80 s share the 60 s rollup bucket [60,120). With a
+// one-hour retention, now = 3690 s puts the horizon at 90 s: every raw
+// point has expired but that bucket still straddles the horizon.
+class DeadSeriesErasure : public ::testing::Test {
+ protected:
+  static constexpr std::int64_t kRetentionS = 3600;
+
+  DeadSeriesErasure() {
+    for (const std::int64_t t : {60, 70, 80}) {
+      db_.write("m", kTags, at(t), static_cast<double>(t));
+    }
+  }
+
+  void age_to(std::int64_t horizon_s) {
+    db_.maintain(at(horizon_s + kRetentionS), Duration::seconds(kRetentionS));
+  }
+
+  const Tags kTags{{"pod", "gone"}};
+  Database db_;
+};
+
+TEST_F(DeadSeriesErasure, SeriesWithOnlyAStraddlingRollupBucketSurvives) {
+  age_to(90);
+  EXPECT_EQ(db_.total_points(), 0u);
+  EXPECT_EQ(db_.chunk_count("m"), 0u);
+  EXPECT_EQ(db_.series_count("m"), 1u);
+  EXPECT_FALSE(db_.newest_time("m").has_value());
+}
+
+TEST_F(DeadSeriesErasure, SurvivingBucketStillAnswersWideWindowQuery) {
+  age_to(90);
+  ql::ExecStats stats;
+  ql::ExecOptions options;
+  options.stats = &stats;
+  const ql::ResultSet result =
+      ql::PreparedQuery::prepare(
+          "SELECT COUNT(value) AS n FROM \"m\" WHERE time >= 0s "
+          "GROUP BY pod")
+          .execute(db_, at(90 + kRetentionS), {}, options);
+  EXPECT_EQ(stats.rollup_level_us, kRollupLevelsUs[1]);
+  ASSERT_EQ(result.rows.size(), 1u);
+  EXPECT_DOUBLE_EQ(result.value_for("pod", "gone", "n"), 3.0);
+}
+
+TEST_F(DeadSeriesErasure, SeriesIsErasedOnceItsLastBucketExpires) {
+  age_to(90);
+  const std::size_t points = db_.total_points();
+  age_to(120);
+  EXPECT_EQ(db_.series_count("m"), 0u);
+  EXPECT_EQ(db_.total_points(), points);
+  const ql::ResultSet result = ql::query(
+      "SELECT COUNT(value) AS n FROM \"m\" WHERE time >= 0s",
+      db_, at(120 + kRetentionS));
+  EXPECT_TRUE(result.rows.empty());
+}
+
+TEST_F(DeadSeriesErasure, WritingTheSameTagsAgainRecreatesTheSeries) {
+  age_to(120);
+  ASSERT_EQ(db_.series_count("m"), 0u);
+  const TimePoint now = at(120 + kRetentionS);
+  ASSERT_TRUE(db_.write("m", kTags, now, 7.0));
+  EXPECT_EQ(db_.series_count("m"), 1u);
+  EXPECT_EQ(db_.total_points(), 1u);
+  const ql::ResultSet result = ql::query(
+      "SELECT LAST(value) AS v FROM \"m\" GROUP BY pod", db_, now);
+  ASSERT_EQ(result.rows.size(), 1u);
+  EXPECT_DOUBLE_EQ(result.value_for("pod", "gone", "v"), 7.0);
+}
+
+TEST(Database, RetentionErasesOnlyDeadSeries) {
+  DatabaseConfig config;
+  config.shards = 4;
+  config.rollups = false;  // no buckets: a series dies with its last point
+  Database db{config};
+  for (int pod = 0; pod < 16; ++pod) {
+    const std::int64_t last = pod % 2 == 0 ? 50 : 200;
+    for (std::int64_t t = 0; t <= last; t += 10) {
+      db.write("m", {{"pod", std::to_string(pod)}}, at(t), 1.0);
+    }
+  }
+  ASSERT_EQ(db.series_count("m"), 16u);
+  db.enforce_retention(at(160), Duration::seconds(60));  // horizon 100 s
+  EXPECT_EQ(db.series_count("m"), 8u);
+  std::size_t seen = 0;
+  db.for_each_series("m", [&](const Series& series) {
+    EXPECT_FALSE(series.empty());
+    ++seen;
+  });
+  EXPECT_EQ(seen, 8u);
+  EXPECT_EQ(db.total_points(), 8u * 11u);  // 100..200 s per live pod
 }
 
 TEST(Database, MaintainCompactsSealedChunks) {
