@@ -38,13 +38,12 @@ struct SgxSchedulerConfig {
   Duration metrics_window = Duration::seconds(25);
   /// Scheduler name pods select; empty derives "sgx-binpack"/"sgx-spread".
   std::string name;
-  /// Replica identity for leader election (HA deployments run N replicas
-  /// sharing a name). Empty = the name itself.
+  /// Replica identity (a shared-state fleet runs N replicas sharing a
+  /// name). Empty = the name itself.
   std::string identity;
   /// Shared-state mode (Omega-style): when set, this replica runs as one
-  /// always-active shard worker of a multi-scheduler fleet — no leader
-  /// lease; binds go out as batched transactions. Mutually exclusive with
-  /// enabling leader election on the instance.
+  /// always-active shard worker of a multi-scheduler fleet; binds go out
+  /// as batched transactions.
   std::optional<orch::SharedStateConfig> shared_state;
   /// Priority preemption under contention (extension; the paper's
   /// per-process EPC ioctl exists "to identify processes that should be

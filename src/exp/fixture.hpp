@@ -101,7 +101,7 @@ class SimulatedCluster {
   /// cluster config when left at their zero values.
   core::SgxAwareScheduler& add_sgx_scheduler(core::SgxSchedulerConfig config);
   /// Creates and starts the Kubernetes default scheduler baseline;
-  /// `identity` distinguishes HA replicas sharing the default name.
+  /// `identity` distinguishes replicas sharing the default name.
   orch::DefaultScheduler& add_default_scheduler(std::string identity = {});
 
   /// Creates and starts an Omega-style shared-state fleet: `replicas`

@@ -70,7 +70,7 @@ std::ostream& operator<<(std::ostream& os,
   return os << to_string(outcome.status) << "@v" << outcome.resource_version;
 }
 
-ApiServer::ApiServer(sim::Simulation& sim) : sim_(&sim), leases_(sim) {}
+ApiServer::ApiServer(sim::Simulation& sim) : sim_(&sim) {}
 
 void ApiServer::enable_attestation(sgx::QuoteTransport& transport,
                                    AttestationGate::QuoteSource quotes,
@@ -344,18 +344,6 @@ std::vector<const PodRecord*> ApiServer::list_pods(
   return out;
 }
 
-std::vector<cluster::PodName> ApiServer::pending_pods(
-    const std::string& scheduler_name) const {
-  PodFilter filter;
-  filter.phase = cluster::PodPhase::kPending;
-  filter.scheduler = scheduler_name;
-  std::vector<cluster::PodName> out;
-  for (const PodRecord* record : list_pods(filter)) {
-    out.push_back(record->spec.name);
-  }
-  return out;
-}
-
 void ApiServer::apply_bind(PodRecord& record, const NodeEntry& entry) {
   const cluster::PodName pod = record.spec.name;
   unindex(record);  // leaves the pending queue
@@ -526,20 +514,6 @@ ApiServer::BindOutcome ApiServer::try_bind(const cluster::PodName& pod,
       .entries.front();
 }
 
-void ApiServer::bind(const cluster::PodName& pod,
-                     const cluster::NodeName& node) {
-  const PodRecord& record = mutable_pod(pod);
-  SGXO_CHECK_MSG(record.phase == cluster::PodPhase::kPending,
-                 "binding a non-pending pod");
-  const NodeEntry* entry = find_node(node);
-  SGXO_CHECK_MSG(entry != nullptr, "binding to unknown node " + node);
-  SGXO_CHECK_MSG(entry->node->schedulable(), "binding to master node");
-  const BindOutcome outcome = try_bind(pod, node, record.resource_version);
-  SGXO_CHECK_MSG(outcome.bound(),
-                 "bind of " + pod + " to " + node +
-                     " rejected by the admission guard");
-}
-
 void ApiServer::evict(const cluster::PodName& pod,
                       const std::string& reason) {
   PodRecord& record = mutable_pod(pod);
@@ -600,17 +574,6 @@ void ApiServer::migrate(const cluster::PodName& pod,
   node_insert(record);
   record_event(pod, "Migrated " + source->node->name() + " -> " + target);
   destination->kubelet->admit_migrated(std::move(bundle), service, inbound);
-}
-
-std::vector<cluster::PodName> ApiServer::assigned_pods(
-    const cluster::NodeName& node) const {
-  PodFilter filter;
-  filter.node = node;
-  std::vector<cluster::PodName> out;
-  for (const PodRecord* record : list_pods(filter)) {
-    out.push_back(record->spec.name);
-  }
-  return out;
 }
 
 const PodRecord& ApiServer::pod(const cluster::PodName& name) const {

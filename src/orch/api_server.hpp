@@ -9,8 +9,9 @@
 // Read path: the store maintains secondary indexes — per-scheduler pending
 // queues in priority+FCFS order, a pods-by-node index, and per-namespace
 // usage accumulators — updated transactionally with every phase
-// transition. pending_pods / assigned_pods / quota admission are therefore
-// O(result), not O(pods): the scheduler hot loop never scans the store.
+// transition. Pending-queue and per-node list_pods reads and quota
+// admission are therefore O(result), not O(pods): the scheduler hot loop
+// never scans the store.
 //
 // Write path: conditional binds are the only scheduling writes. try_bind
 // CASes one pod; try_bind_batch validates a whole transaction of
@@ -36,7 +37,6 @@
 #include "cluster/pod.hpp"
 #include "common/time.hpp"
 #include "orch/attestation_gate.hpp"
-#include "orch/lease.hpp"
 #include "sim/simulation.hpp"
 
 namespace sgxo::orch {
@@ -97,9 +97,9 @@ struct ResourceQuota {
 [[nodiscard]] std::uint32_t shard_of(const cluster::PodName& pod,
                                      std::uint32_t shard_count);
 
-/// Selector for ApiServer::list_pods — the single read API behind the
-/// legacy pending_pods/assigned_pods/all_pods trio and the shared-state
-/// schedulers' shard pulls. Unset fields match everything; set fields are
+/// Selector for ApiServer::list_pods — the single pod read API, behind
+/// both the scheduling queue and the shared-state schedulers' shard
+/// pulls. Unset fields match everything; set fields are
 /// ANDed.
 struct PodFilter {
   std::optional<cluster::PodPhase> phase;
@@ -179,13 +179,6 @@ class ApiServer final : public cluster::PodLifecycleListener {
   [[nodiscard]] std::vector<const PodRecord*> list_pods(
       const PodFilter& filter) const;
 
-  /// Pending pods owned by `scheduler_name`: highest priority first,
-  /// FCFS (oldest submission) within equal priority — the Kubernetes
-  /// scheduling-queue order. With the default priority 0 everywhere this
-  /// is plain FCFS, as in the paper. Wrapper over list_pods.
-  [[nodiscard]] std::vector<cluster::PodName> pending_pods(
-      const std::string& scheduler_name) const;
-
   /// Status of a conditional bind attempt. Everything except kBound
   /// leaves the pod exactly where it was (pending pods stay queued).
   enum class BindStatus {
@@ -202,7 +195,7 @@ class ApiServer final : public cluster::PodLifecycleListener {
     /// The node's kubelet admission guard rejected the delivery: the
     /// declared EPC no longer fits the node's live commitments (plus any
     /// pages staged by earlier entries of the same batch). The last line
-    /// of defence against split-brain over-commitment.
+    /// of defence against over-commitment by a scheduler with a stale view.
     kAdmissionRejected,
     /// Attestation gate enabled and the target node has no fresh accepted
     /// verdict: a verification round-trip is in flight (or just
@@ -305,13 +298,6 @@ class ApiServer final : public cluster::PodLifecycleListener {
   BatchBindResult try_bind_batch(const std::vector<BindRequest>& batch,
                                  BatchMode mode = BatchMode::kPerEntry);
 
-  /// Strict bind: conditional bind against the pod's current version,
-  /// asserting success. Deprecated legacy shim — every real caller has
-  /// moved to try_bind/try_bind_batch, whose rejections are values, not
-  /// exceptions. Throws ContractViolation on any rejection.
-  [[deprecated("use try_bind/try_bind_batch; rejections are BindOutcomes")]]
-  void bind(const cluster::PodName& pod, const cluster::NodeName& node);
-
   /// try_bind rejections due to a stale version or a no-longer-pending
   /// pod (two schedulers racing for the same pod).
   [[nodiscard]] std::uint64_t bind_conflicts() const {
@@ -345,21 +331,12 @@ class ApiServer final : public cluster::PodLifecycleListener {
     return attestation_rejections_;
   }
 
-  // ---- leader-election leases ----------------------------------------------
-  [[nodiscard]] LeaseManager& leases() { return leases_; }
-  [[nodiscard]] const LeaseManager& leases() const { return leases_; }
-
   /// Live-migrates a *running* SGX pod to another schedulable SGX node
   /// (enclave checkpoint/restore, §VIII): extracts the bundle from the
   /// source Kubelet, records the reassignment, and hands the bundle to the
   /// target Kubelet with the checkpoint + wire-transfer delay applied.
   void migrate(const cluster::PodName& pod, const cluster::NodeName& target,
                sgx::MigrationService& service);
-
-  /// Pods currently assigned to (bound or running on) `node`.
-  /// Wrapper over list_pods.
-  [[nodiscard]] std::vector<cluster::PodName> assigned_pods(
-      const cluster::NodeName& node) const;
 
   /// Preempts a bound/running pod: tears it down on its node and returns
   /// it to the pending queue (its first-start timestamp is retained for
@@ -451,7 +428,6 @@ class ApiServer final : public cluster::PodLifecycleListener {
                       std::vector<const PodRecord*>& out) const;
 
   sim::Simulation* sim_;
-  LeaseManager leases_;
   std::unique_ptr<AttestationGate> attestation_;
   std::uint64_t bind_conflicts_ = 0;
   std::uint64_t guard_rejections_ = 0;

@@ -53,22 +53,7 @@ void Scheduler::stop() {
   }
 }
 
-void Scheduler::enable_leader_election(std::string lease, Duration ttl) {
-  SGXO_CHECK_MSG(!lease.empty(), "leader lease needs a name");
-  SGXO_CHECK_MSG(ttl > period_,
-                 "lease TTL must exceed the scheduling period, or the "
-                 "leader lapses between its own renewals");
-  SGXO_CHECK_MSG(!shared_state_enabled(),
-                 "shared-state replicas are all active; a leader lease "
-                 "would serialize them again");
-  lease_ = std::move(lease);
-  lease_ttl_ = ttl;
-}
-
 void Scheduler::enable_shared_state(SharedStateConfig config) {
-  SGXO_CHECK_MSG(!leader_election_enabled(),
-                 "shared state replaces the lease gate with optimistic "
-                 "concurrency; disable leader election first");
   SGXO_CHECK_MSG(config.shard_count >= 1, "shard_count must be >= 1");
   SGXO_CHECK_MSG(config.shard < config.shard_count,
                  "shard must be < shard_count");
@@ -88,9 +73,6 @@ void Scheduler::enable_shared_state(SharedStateConfig config) {
 void Scheduler::crash() {
   stop();
   crashed_ = true;
-  leading_ = false;
-  // The lease is NOT released: a crash-stop cannot run cleanup. Standbys
-  // take over once the TTL lapses.
 }
 
 void Scheduler::restart() {
@@ -100,28 +82,15 @@ void Scheduler::restart() {
   // commitments are re-read from the ApiServer every cycle anyway, and
   // the backoff clocks of its previous life are meaningless now.
   backoffs_.clear();
-  leading_ = false;
   start();
-}
-
-void Scheduler::on_elected() {
-  // A new leader must not inherit backoff timers from its standby past
-  // (or a previous leadership stint): they were armed against another
-  // incarnation's bind failures. Rebuild from a clean slate — the pods
-  // themselves are durable in the ApiServer's pending queue.
-  backoffs_.clear();
 }
 
 Scheduler::Health Scheduler::health() const {
   Health health;
   health.name = name_;
   health.identity = identity();
-  health.election_enabled = leader_election_enabled();
-  health.leading = leading_;
   health.crashed = crashed_;
   health.cycles = cycles_;
-  health.standby_cycles = standby_cycles_;
-  health.elections = elections_;
   health.bound = bound_;
   health.bind_conflicts = bind_conflicts_;
   health.guard_rejections = guard_rejections_;
@@ -174,23 +143,7 @@ void Scheduler::prune_backoffs() {
 std::size_t Scheduler::run_once() {
   if (crashed_) return 0;
 
-  // Shared-state replicas are always active: no lease gates the cycle.
   if (shared_state_enabled()) return run_shared_cycle();
-
-  // Leader election: renew (or contest) the lease before doing any work.
-  // A standby's cycle costs one lease lookup and nothing else.
-  if (leader_election_enabled()) {
-    if (!api_->leases().try_acquire(lease_, identity(), lease_ttl_)) {
-      leading_ = false;
-      ++standby_cycles_;
-      return 0;
-    }
-    if (!leading_) {
-      leading_ = true;
-      ++elections_;
-      on_elected();
-    }
-  }
 
   ++cycles_;
   std::vector<NodeView> views = collect_views();
@@ -205,9 +158,9 @@ std::size_t Scheduler::run_once() {
   // The cycle works on a snapshot: record pointers plus the resource
   // version each pod had when the cycle started. Binds are conditional on
   // that version, so anything that mutates a pod mid-cycle — a watch
-  // callback fired by an earlier bind, another leader during a
-  // split-brain window — turns this scheduler's attempt into a clean
-  // conflict instead of a double placement.
+  // callback fired by an earlier bind, another scheduler binding the same
+  // pod — turns this scheduler's attempt into a clean conflict instead of
+  // a double placement.
   PodFilter filter;
   filter.phase = cluster::PodPhase::kPending;
   filter.scheduler = name_;
@@ -267,7 +220,7 @@ std::size_t Scheduler::run_once() {
     }
     if (outcome == ApiServer::BindStatus::kAdmissionRejected) {
       // The kubelet's live commitments disagree with this cycle's view —
-      // the split-brain safety net. Back the pod off like any other
+      // the stale-view safety net. Back the pod off like any other
       // failed placement; the view is rebuilt next cycle.
       ++guard_rejections_;
       note_bind_failure(pod_name);

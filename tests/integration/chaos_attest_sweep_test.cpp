@@ -1,4 +1,4 @@
-// Chaos property harness, part 5: the attestation sweep — 500 seeded
+// Chaos property harness, part 4: the attestation sweep — 500 seeded
 // fault scenarios with attestation-gated admission on and the attestation
 // fault kinds (verifier outage, slow verify, re-attestation storm) mixed
 // into every random plan. On top of the standard invariants (EPC never
@@ -12,40 +12,22 @@
 // Labeled attest: run with `ctest -L attest` or the chaos-attest preset.
 #include <gtest/gtest.h>
 
-#include <string>
-
 #include "chaos_harness.hpp"
 
 namespace sgxo::exp {
 namespace {
 
-chaos::ScenarioConfig attest_config() {
+void run_shard(std::uint64_t first_seed, std::uint64_t last_seed) {
   chaos::ScenarioConfig config;
   config.attestation = true;
   config.attestation_faults = true;
-  return config;
-}
-
-void run_shard(std::uint64_t first_seed, std::uint64_t last_seed) {
-  const chaos::ScenarioConfig config = attest_config();
-  for (std::uint64_t seed = first_seed; seed <= last_seed; ++seed) {
-    const chaos::ScenarioResult result = chaos::run_scenario(seed, config);
-    for (const std::string& violation : result.violations) {
-      ADD_FAILURE() << "seed " << seed << ": " << violation
-                    << "\n  plan: " << result.plan;
-    }
-    EXPECT_GT(result.injected, 0u) << "seed " << seed;
-    EXPECT_EQ(result.injected, result.healed)
-        << "seed " << seed << " plan: " << result.plan;
-    // The gate actually stood in the bind path: every SGX bind needed a
-    // verdict, so verification traffic is never zero.
-    EXPECT_GT(result.attestation_verifications, 0u) << "seed " << seed;
-    if (seed % 50 == 0) {
-      const chaos::ScenarioResult rerun = chaos::run_scenario(seed, config);
-      EXPECT_EQ(result.event_log, rerun.event_log)
-          << "seed " << seed << " is not deterministic";
-    }
-  }
+  chaos::sweep(first_seed, last_seed, config, /*rerun_every_50th=*/true,
+               [](std::uint64_t seed, const chaos::ScenarioResult& result) {
+                 // The gate actually stood in the bind path: every SGX bind
+                 // needed a verdict, so verification traffic is never zero.
+                 EXPECT_GT(result.attestation_verifications, 0u)
+                     << "seed " << seed;
+               });
 }
 
 TEST(ChaosAttestSweep, Seeds001To050) { run_shard(1, 50); }

@@ -5,11 +5,15 @@
 // The runner never asserts; it returns the scenario's outcome with every
 // invariant violation as a string, so callers attach the seed and the
 // plan description to their failure messages — a failing seed reproduces
-// the exact run.
+// the exact run. sweep() is the per-seed loop the sweep tests share:
+// it turns those violations into gtest failures.
 #pragma once
+
+#include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <string>
 #include <vector>
@@ -34,21 +38,13 @@ struct ScenarioConfig {
   std::size_t min_faults = 1;
   std::size_t max_faults = 6;
   Duration deadline = Duration::hours(24);
-  /// Scheduler replicas contending for the leader lease; 1 disables
-  /// leader election (the pre-HA control plane).
+  /// Scheduler replicas. 1 runs the classic single scheduler; more run a
+  /// shared-state fleet: every replica active over its own pending-queue
+  /// shard (Omega-style batched binds, work stealing).
   std::size_t scheduler_replicas = 1;
-  /// Adds the control-plane fault kinds (scheduler-crash, lease-expiry,
-  /// split-brain-window) to the random plan's draw targets. Only
-  /// meaningful with scheduler_replicas > 1.
+  /// Adds the scheduler-crash fault kind to the random plan's draw
+  /// targets. Only meaningful with scheduler_replicas > 1.
   bool ha_faults = false;
-  /// Leader-lease TTL; a dead leader is replaced within one TTL plus one
-  /// scheduling period.
-  Duration lease_ttl = Duration::seconds(15);
-  /// Shared-state mode: every replica is active over its own pending-queue
-  /// shard (Omega-style batched binds, work stealing) instead of standing
-  /// by behind a leader lease. With ha_faults, lease fault kinds downgrade
-  /// to scheduler crashes — there is no lease to expire.
-  bool shared_state = false;
   /// TSDB shard count for the cluster's metrics store.
   std::size_t tsdb_shards = 1;
   /// Adds the per-shard TSDB fault kinds (shard write-error, shard stale
@@ -75,14 +71,9 @@ struct ScenarioResult {
   std::uint64_t backoff_skips = 0;
   std::uint64_t disconnects = 0;
   std::uint64_t resyncs = 0;
-  // Control-plane HA counters (zero when scheduler_replicas == 1).
-  std::uint64_t elections = 0;
-  std::uint64_t standby_cycles = 0;
   std::uint64_t bind_conflicts = 0;    // ApiServer-wide CAS losses
   std::uint64_t guard_rejections = 0;  // kubelet admission-guard saves
-  std::uint64_t lease_transitions = 0;
-  std::uint64_t split_grants = 0;
-  // Shared-state counters (zero unless config.shared_state).
+  // Shared-state counters (zero unless scheduler_replicas > 1).
   std::uint64_t batches = 0;
   std::uint64_t steal_cycles = 0;
   std::uint64_t reshards = 0;
@@ -114,28 +105,13 @@ inline ScenarioResult run_scenario(std::uint64_t seed,
   cluster_config.tsdb_shards = config.tsdb_shards;
   cluster_config.attestation = config.attestation;
   SimulatedCluster cluster{cluster_config};
-  const std::size_t replica_count =
-      std::max<std::size_t>(1, config.scheduler_replicas);
-  std::vector<core::SgxAwareScheduler*> replicas;
-  for (std::size_t i = 0; i < replica_count; ++i) {
-    core::SgxSchedulerConfig sched_config;
-    sched_config.policy = core::PlacementPolicy::kBinpack;
-    if (replica_count > 1) {
-      sched_config.identity = "sgx-binpack-" + std::to_string(i);
-    }
-    if (config.shared_state) {
-      // Omega-style: every replica active on its own shard, no lease.
-      orch::SharedStateConfig shard;
-      shard.shard = static_cast<std::uint32_t>(i);
-      shard.shard_count = static_cast<std::uint32_t>(replica_count);
-      sched_config.shared_state = shard;
-    }
-    auto& replica = cluster.add_sgx_scheduler(std::move(sched_config));
-    replica.set_bind_backoff(Duration::seconds(5), Duration::minutes(2));
-    if (!config.shared_state && replica_count > 1) {
-      replica.enable_leader_election("scheduler-leader", config.lease_ttl);
-    }
-    replicas.push_back(&replica);
+  const std::vector<core::SgxAwareScheduler*> replicas =
+      config.scheduler_replicas > 1
+          ? cluster.add_shared_state_fleet(config.scheduler_replicas)
+          : std::vector<core::SgxAwareScheduler*>{
+                &cluster.add_sgx_scheduler(core::PlacementPolicy::kBinpack)};
+  for (core::SgxAwareScheduler* replica : replicas) {
+    replica->set_bind_backoff(Duration::seconds(5), Duration::minutes(2));
   }
   auto& scheduler = *replicas.front();
   cluster.api().set_default_scheduler(scheduler.name());
@@ -173,15 +149,10 @@ inline ScenarioResult run_scenario(std::uint64_t seed,
   plan_config.max_faults = config.max_faults;
   plan_config.crash_targets = {"node-1", "node-2", "sgx-1", "sgx-2"};
   plan_config.probe_targets = {"sgx-1", "sgx-2"};
-  if (config.ha_faults && replica_count > 1) {
+  if (config.ha_faults && replicas.size() > 1) {
     for (core::SgxAwareScheduler* replica : replicas) {
       plan_config.scheduler_targets.push_back(replica->identity());
     }
-    if (!config.shared_state) {
-      plan_config.lease_targets = {"scheduler-leader"};
-    }
-    // Shared-state fleets leave lease_targets empty: random_plan downgrades
-    // the lease fault kinds to scheduler crashes against the fleet.
   }
   if (config.tsdb_shard_faults) {
     for (std::size_t s = 0; s < cluster.db().shard_count(); ++s) {
@@ -276,8 +247,6 @@ inline ScenarioResult run_scenario(std::uint64_t seed,
   for (core::SgxAwareScheduler* replica : replicas) {
     result.degraded_cycles += replica->degraded_cycles();
     result.backoff_skips += replica->backoff_skips();
-    result.elections += replica->elections();
-    result.standby_cycles += replica->standby_cycles();
     result.batches += replica->batches();
     result.steal_cycles += replica->steal_cycles();
     result.reshards += replica->reshards();
@@ -296,8 +265,6 @@ inline ScenarioResult run_scenario(std::uint64_t seed,
   }
   result.bind_conflicts = cluster.api().bind_conflicts();
   result.guard_rejections = cluster.api().guard_rejections();
-  result.lease_transitions = cluster.api().leases().transitions().size();
-  result.split_grants = cluster.api().leases().split_grants();
   result.disconnects = restarter.disconnects();
   result.resyncs = restarter.resyncs();
 
@@ -346,6 +313,33 @@ inline ScenarioResult run_scenario(std::uint64_t seed,
         event.message);
   }
   return result;
+}
+
+/// Runs seeds [first_seed, last_seed] under `config`. Every seed must
+/// report no invariant violation, inject at least one fault and heal
+/// every fault it injected; `check` adds a sweep's own per-seed
+/// expectations. With `rerun_every_50th`, every 50th seed runs twice and
+/// must replay a bit-identical event log.
+inline void sweep(
+    std::uint64_t first_seed, std::uint64_t last_seed,
+    const ScenarioConfig& config, bool rerun_every_50th,
+    const std::function<void(std::uint64_t, const ScenarioResult&)>& check =
+        nullptr) {
+  for (std::uint64_t seed = first_seed; seed <= last_seed; ++seed) {
+    const ScenarioResult result = run_scenario(seed, config);
+    for (const std::string& violation : result.violations) {
+      ADD_FAILURE() << "seed " << seed << ": " << violation
+                    << "\n  plan: " << result.plan;
+    }
+    EXPECT_GT(result.injected, 0u) << "seed " << seed;
+    EXPECT_EQ(result.injected, result.healed)
+        << "seed " << seed << " plan: " << result.plan;
+    if (check) check(seed, result);
+    if (rerun_every_50th && seed % 50 == 0) {
+      EXPECT_EQ(result.event_log, run_scenario(seed, config).event_log)
+          << "seed " << seed << " is not deterministic";
+    }
+  }
 }
 
 }  // namespace sgxo::exp::chaos

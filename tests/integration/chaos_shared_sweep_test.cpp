@@ -1,55 +1,30 @@
-// Chaos property harness, part 4: the shared-state sweep — 500 seeded
-// fault scenarios with four *active* scheduler replicas (Omega-style: no
-// leader lease; sharded pending queues, work stealing, batched bind
-// transactions) and the control-plane fault kinds mixed into every random
-// plan (lease faults downgrade to scheduler crashes — there is no lease).
-// The invariants are the standard three (EPC never over-committed, no pod
-// lost or double-placed, reconvergence after the last heal); optimistic
-// concurrency must preserve them while replicas race each other and die
-// mid-cycle. Every 50th seed also runs twice to pin bit-identical
+// Chaos property harness, part 3: the shared-state sweep — 500 seeded
+// fault scenarios with four *active* scheduler replicas (Omega-style:
+// sharded pending queues, work stealing, batched bind transactions) and
+// scheduler crashes mixed into every random plan. The invariants are the
+// standard three (EPC never over-committed, no pod lost or double-placed,
+// reconvergence after the last heal); optimistic concurrency must
+// preserve them while replicas race each other and die mid-cycle. Every 50th seed also runs twice to pin bit-identical
 // same-seed determinism under the multi-scheduler path.
 //
 // Labeled chaos-shared: run with `ctest -L chaos-shared` or the
 // chaos-shared preset.
 #include <gtest/gtest.h>
 
-#include <string>
-
 #include "chaos_harness.hpp"
 
 namespace sgxo::exp {
 namespace {
 
-chaos::ScenarioConfig shared_config() {
+void run_shard(std::uint64_t first_seed, std::uint64_t last_seed) {
   chaos::ScenarioConfig config;
   config.scheduler_replicas = 4;
-  config.shared_state = true;
   config.ha_faults = true;
-  return config;
-}
-
-void run_shard(std::uint64_t first_seed, std::uint64_t last_seed) {
-  const chaos::ScenarioConfig config = shared_config();
-  for (std::uint64_t seed = first_seed; seed <= last_seed; ++seed) {
-    const chaos::ScenarioResult result = chaos::run_scenario(seed, config);
-    for (const std::string& violation : result.violations) {
-      ADD_FAILURE() << "seed " << seed << ": " << violation
-                    << "\n  plan: " << result.plan;
-    }
-    EXPECT_GT(result.injected, 0u) << "seed " << seed;
-    EXPECT_EQ(result.injected, result.healed)
-        << "seed " << seed << " plan: " << result.plan;
-    // All replicas are active: no one stood by, no one was elected, and
-    // the fleet actually scheduled through batch transactions.
-    EXPECT_EQ(result.elections, 0u) << "seed " << seed;
-    EXPECT_EQ(result.standby_cycles, 0u) << "seed " << seed;
-    EXPECT_GT(result.batches, 0u) << "seed " << seed;
-    if (seed % 50 == 0) {
-      const chaos::ScenarioResult rerun = chaos::run_scenario(seed, config);
-      EXPECT_EQ(result.event_log, rerun.event_log)
-          << "seed " << seed << " is not deterministic";
-    }
-  }
+  chaos::sweep(first_seed, last_seed, config, /*rerun_every_50th=*/true,
+               [](std::uint64_t seed, const chaos::ScenarioResult& result) {
+                 // The fleet actually scheduled through batch transactions.
+                 EXPECT_GT(result.batches, 0u) << "seed " << seed;
+               });
 }
 
 TEST(ChaosSharedSweep, Seeds001To050) { run_shard(1, 50); }

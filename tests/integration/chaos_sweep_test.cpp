@@ -9,25 +9,13 @@
 // Labeled chaos: run explicitly with `ctest -L chaos`.
 #include <gtest/gtest.h>
 
-#include <string>
-
 #include "chaos_harness.hpp"
 
 namespace sgxo::exp {
 namespace {
 
 void run_shard(std::uint64_t first_seed, std::uint64_t last_seed) {
-  for (std::uint64_t seed = first_seed; seed <= last_seed; ++seed) {
-    const chaos::ScenarioResult result = chaos::run_scenario(seed);
-    for (const std::string& violation : result.violations) {
-      ADD_FAILURE() << "seed " << seed << ": " << violation
-                    << "\n  plan: " << result.plan;
-    }
-    // Sanity: the scenario actually exercised the injector.
-    EXPECT_GT(result.injected, 0u) << "seed " << seed;
-    EXPECT_EQ(result.injected, result.healed)
-        << "seed " << seed << " plan: " << result.plan;
-  }
+  chaos::sweep(first_seed, last_seed, {}, /*rerun_every_50th=*/false);
 }
 
 TEST(ChaosFullSweep, Seeds001To050) { run_shard(1, 50); }

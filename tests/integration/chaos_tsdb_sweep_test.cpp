@@ -9,8 +9,6 @@
 // Labeled chaos: run explicitly with `ctest -L chaos`.
 #include <gtest/gtest.h>
 
-#include <string>
-
 #include "chaos_harness.hpp"
 
 namespace sgxo::exp {
@@ -20,16 +18,7 @@ void run_shard(std::uint64_t first_seed, std::uint64_t last_seed) {
   chaos::ScenarioConfig config;
   config.tsdb_shards = 4;
   config.tsdb_shard_faults = true;
-  for (std::uint64_t seed = first_seed; seed <= last_seed; ++seed) {
-    const chaos::ScenarioResult result = chaos::run_scenario(seed, config);
-    for (const std::string& violation : result.violations) {
-      ADD_FAILURE() << "seed " << seed << ": " << violation
-                    << "\n  plan: " << result.plan;
-    }
-    EXPECT_GT(result.injected, 0u) << "seed " << seed;
-    EXPECT_EQ(result.injected, result.healed)
-        << "seed " << seed << " plan: " << result.plan;
-  }
+  chaos::sweep(first_seed, last_seed, config, /*rerun_every_50th=*/false);
 }
 
 TEST(ChaosTsdbShardSweep, Seeds001To050) { run_shard(1, 50); }

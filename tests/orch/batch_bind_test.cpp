@@ -5,6 +5,7 @@
 
 #include "common/error.hpp"
 #include "orch/api_server.hpp"
+#include "pod_names.hpp"
 
 namespace sgxo::orch {
 namespace {
@@ -151,7 +152,7 @@ TEST_F(BatchBindFixture, AtomicBatchLeavesNoPartialState) {
   EXPECT_EQ(api_.pod("b").phase, cluster::PodPhase::kPending);
   EXPECT_EQ(version("a"), va);
   EXPECT_EQ(version("b"), vb);
-  EXPECT_EQ(api_.pending_pods(api_.default_scheduler()).size(), 2u);
+  EXPECT_EQ(pending_names(api_, api_.default_scheduler()).size(), 2u);
   EXPECT_EQ(kubelet_1_.active_pod_count(), 0u);
   EXPECT_EQ(api_.events().size(), events_before);
 

@@ -1,12 +1,12 @@
 // Conditional (compare-and-swap) bind tests: resource versions, the four
-// rejection outcomes, and the HA race the CAS exists for — two scheduler
-// replicas acting on the same snapshot, racing for the last EPC pages of
-// a node. Exactly one wins; the loser's pod is neither lost nor
+// rejection outcomes, and the multi-replica race the CAS exists for — two
+// scheduler replicas acting on the same snapshot, racing for the last EPC
+// pages of a node. Exactly one wins; the loser's pod is neither lost nor
 // duplicated.
 #include <gtest/gtest.h>
 
-#include "common/error.hpp"
 #include "orch/api_server.hpp"
+#include "pod_names.hpp"
 
 namespace sgxo::orch {
 namespace {
@@ -78,7 +78,7 @@ TEST_F(ConditionalBindFixture, StaleVersionFailsCleanly) {
   // Nothing changed: still pending, still queued, version untouched.
   EXPECT_EQ(api_.pod("p").phase, cluster::PodPhase::kPending);
   EXPECT_EQ(version("p"), v0);
-  EXPECT_EQ(api_.pending_pods(api_.default_scheduler()).size(), 1u);
+  EXPECT_EQ(pending_names(api_, api_.default_scheduler()).size(), 1u);
   EXPECT_EQ(api_.bind_conflicts(), 1u);
 }
 
@@ -121,7 +121,7 @@ TEST_F(ConditionalBindFixture, TwoReplicasRacingForTheSamePod) {
             ApiServer::BindStatus::kNotPending);
   EXPECT_EQ(api_.pod("p").node, "sgx-1");
   EXPECT_EQ(api_.bind_conflicts(), 1u);
-  EXPECT_EQ(api_.assigned_pods("sgx-1").size(), 1u);
+  EXPECT_EQ(assigned_names(api_, "sgx-1").size(), 1u);
 }
 
 TEST_F(ConditionalBindFixture, RaceForTheLastEpcPagesAdmitsExactlyOne) {
@@ -134,8 +134,8 @@ TEST_F(ConditionalBindFixture, RaceForTheLastEpcPagesAdmitsExactlyOne) {
   // Replica A binds pod a — the CAS passes and the kubelet admits it.
   EXPECT_EQ(api_.try_bind("a", "sgx-1", va), ApiServer::BindStatus::kBound);
 
-  // Replica B, leading during a split-brain window and acting on a view
-  // that predates A's bind, tries to put pod b on the same node. The pod
+  // Replica B, a sibling shared-state replica acting on a view that
+  // predates A's bind, tries to put pod b on the same node. The pod
   // CAS passes (b itself is unchanged) — only the kubelet admission guard
   // stands between the stale view and an EPC over-commit.
   EXPECT_EQ(api_.try_bind("b", "sgx-1", vb),
@@ -145,7 +145,7 @@ TEST_F(ConditionalBindFixture, RaceForTheLastEpcPagesAdmitsExactlyOne) {
   // The loser re-enqueues without duplication: still pending, exactly one
   // queue entry, version untouched, and the rejection is in the event log.
   EXPECT_EQ(api_.pod("b").phase, cluster::PodPhase::kPending);
-  const auto pending = api_.pending_pods(api_.default_scheduler());
+  const auto pending = pending_names(api_, api_.default_scheduler());
   ASSERT_EQ(pending.size(), 1u);
   EXPECT_EQ(pending[0], "b");
   EXPECT_EQ(version("b"), vb);
@@ -163,22 +163,6 @@ TEST_F(ConditionalBindFixture, RaceForTheLastEpcPagesAdmitsExactlyOne) {
   EXPECT_EQ(api_.try_bind("b", "sgx-1", version("b")),
             ApiServer::BindStatus::kBound);
 }
-
-// The deprecated strict shim keeps its throwing contract for stragglers;
-// this is deliberately the only caller left in the tree.
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-TEST_F(ConditionalBindFixture, DeprecatedStrictShimStillThrows) {
-  api_.submit(sgx_pod("p", Pages{100}));
-  EXPECT_THROW(api_.bind("p", "ghost"), ContractViolation);
-  EXPECT_THROW(api_.bind("p", "master"), ContractViolation);
-  api_.bind("p", "sgx-1");
-  EXPECT_THROW(api_.bind("p", "sgx-1"), ContractViolation);
-  // Guard rejection surfaces as a contract violation on the strict path.
-  api_.submit(sgx_pod("q", Pages{950}));
-  EXPECT_THROW(api_.bind("q", "sgx-1"), ContractViolation);
-}
-#pragma GCC diagnostic pop
 
 TEST_F(ConditionalBindFixture, OutcomeCarriesTheObservedVersion) {
   api_.submit(sgx_pod("p", Pages{100}));

@@ -1,23 +1,23 @@
-// Control-plane HA tests: lease-based leader election across scheduler
-// replicas, crash failover within one TTL, forced-expiry re-election,
-// backoff state rebuilt on election, and the split-brain window the
-// conditional-bind + admission-guard layers are designed to survive.
+// Control-plane failover tests for the shared-state fleet: two SGX-aware
+// replicas share one scheduler name, each draining its own shard of the
+// pending queue. A crashed replica needs no failover protocol — the
+// survivor steals its shard once its own runs dry — and a restarted
+// replica resumes on its own shard with none of its previous life's
+// backoff state.
 #include <gtest/gtest.h>
 
+#include <map>
 #include <string>
 
-#include "common/error.hpp"
 #include "core/sgx_scheduler.hpp"
 #include "exp/fixture.hpp"
-#include "orch/default_scheduler.hpp"
 
 namespace sgxo::orch {
 namespace {
 
 using namespace sgxo::literals;
 
-constexpr Duration kTtl = Duration::seconds(15);
-constexpr const char* kLease = "scheduler-leader";
+constexpr Duration kPeriod = Duration::seconds(5);
 
 cluster::PodSpec sgx_pod(const std::string& name, Pages pages,
                          Duration duration = Duration::seconds(60)) {
@@ -29,235 +29,165 @@ cluster::PodSpec sgx_pod(const std::string& name, Pages pages,
                                     behavior);
 }
 
-// ---- full-cluster scenarios (replicated SGX scheduler) ---------------------
+/// The n-th name "<prefix>-<k>" that lands in `shard` of a 2-replica
+/// fleet, so each test controls which replica owns which pod.
+std::string name_in_shard(const std::string& prefix, std::uint32_t shard,
+                          int n = 0) {
+  for (int k = 0;; ++k) {
+    const std::string name = prefix + "-" + std::to_string(k);
+    if (shard_of(name, 2) == shard && n-- == 0) return name;
+  }
+}
 
-/// Two SGX-binpack replicas sharing one name, contending for the leader
-/// lease on the paper's 5-machine cluster.
-class HaClusterFixture : public ::testing::Test {
+/// A 2-replica SGX-binpack fleet on the paper's 5-machine cluster.
+class FleetFailoverFixture : public ::testing::Test {
  protected:
-  HaClusterFixture() {
-    for (int i = 0; i < 2; ++i) {
-      core::SgxSchedulerConfig config;
-      config.policy = core::PlacementPolicy::kBinpack;
-      config.identity = "sgx-binpack-" + std::to_string(i);
-      auto& replica = cluster_.add_sgx_scheduler(std::move(config));
-      replica.enable_leader_election(kLease, kTtl);
-      replicas_.push_back(&replica);
-    }
-    cluster_.api().set_default_scheduler(replicas_[0]->name());
+  FleetFailoverFixture() {
+    fleet_ = cluster_.add_shared_state_fleet(2);
+    cluster_.api().set_default_scheduler(fleet_[0]->name());
     cluster_.start_monitoring();
   }
+  ~FleetFailoverFixture() override { cluster_.stop_all(); }
 
   void run_to(Duration t) {
     cluster_.sim().run_until(TimePoint::epoch() + t);
   }
+  [[nodiscard]] TimePoint now() { return cluster_.sim().now(); }
+  [[nodiscard]] cluster::PodPhase phase(const std::string& pod) {
+    return cluster_.api().pod(pod).phase;
+  }
+  [[nodiscard]] std::size_t pending_in_shard(std::uint32_t shard) {
+    PodFilter filter;
+    filter.phase = cluster::PodPhase::kPending;
+    filter.scheduler = fleet_[0]->name();
+    filter.shard_count = 2;
+    filter.shard = shard;
+    return cluster_.api().list_pods(filter).size();
+  }
 
   exp::SimulatedCluster cluster_;
-  std::vector<core::SgxAwareScheduler*> replicas_;
+  std::vector<core::SgxAwareScheduler*> fleet_;
 };
 
-TEST_F(HaClusterFixture, ExactlyOneReplicaLeadsAndBinds) {
-  for (int i = 0; i < 3; ++i) {
-    cluster_.api().submit(sgx_pod("p" + std::to_string(i), Pages{1000},
-                                  Duration::hours(1)));
+TEST_F(FleetFailoverFixture, SurvivorStealsTheCrashedShardWithinOnePeriod) {
+  // First wave: one pod per shard; each replica binds its own at t=5s.
+  const std::string own_a = name_in_shard("p", 0, 0);
+  const std::string theirs_a = name_in_shard("p", 1, 0);
+  cluster_.api().submit(sgx_pod(own_a, Pages{4000}));
+  cluster_.api().submit(sgx_pod(theirs_a, Pages{4000}));
+  run_to(Duration::seconds(6));
+  ASSERT_EQ(fleet_[0]->total_bound(), 1u);
+  ASSERT_EQ(fleet_[1]->total_bound(), 1u);
+
+  // Replica 1 dies mid-stream; the second wave arrives after the crash.
+  fleet_[1]->crash();
+  ASSERT_TRUE(fleet_[1]->crashed());
+  const std::string own_b = name_in_shard("p", 0, 1);
+  const std::string theirs_b = name_in_shard("p", 1, 1);
+  cluster_.api().submit(sgx_pod(own_b, Pages{4000}));
+  cluster_.api().submit(sgx_pod(theirs_b, Pages{4000}));
+
+  // The survivor's t=10s cycle drains its own shard and steals nothing.
+  run_to(Duration::seconds(11));
+  ASSERT_EQ(pending_in_shard(0), 0u);
+  const TimePoint dry = now();
+  EXPECT_EQ(phase(theirs_b), cluster::PodPhase::kPending);
+  EXPECT_EQ(fleet_[0]->steal_cycles(), 0u);
+
+  // Within one period of its own shard running dry, the survivor binds the
+  // crashed replica's backlog through a steal.
+  cluster_.sim().run_until(dry + kPeriod);
+  EXPECT_NE(phase(theirs_b), cluster::PodPhase::kPending);
+  EXPECT_EQ(pending_in_shard(1), 0u);
+  EXPECT_EQ(fleet_[0]->steal_cycles(), 1u);
+  EXPECT_EQ(fleet_[0]->total_bound(), 3u);
+  EXPECT_EQ(fleet_[1]->total_bound(), 1u);
+}
+
+TEST_F(FleetFailoverFixture, CrashMidStreamLosesAndDuplicatesNothing) {
+  for (int i = 0; i < 2; ++i) {
+    cluster_.api().submit(sgx_pod(name_in_shard("p", 0, i), Pages{15'000}));
+    cluster_.api().submit(sgx_pod(name_in_shard("p", 1, i), Pages{15'000}));
   }
-  run_to(Duration::seconds(30));
+  // One 15k-page pod fits per SGX node: replica 0 cycles first at t=5s
+  // and fills both nodes from its own shard, so the queue is half drained
+  // when replica 1 dies with its whole shard still pending.
+  run_to(Duration::seconds(7));
+  ASSERT_EQ(fleet_[0]->total_bound(), 2u);
+  ASSERT_EQ(pending_in_shard(1), 2u);
+  fleet_[1]->crash();
 
-  // Replica 0 cycles first (FIFO tie-break), wins the lease and keeps it.
-  EXPECT_TRUE(replicas_[0]->leading());
-  EXPECT_FALSE(replicas_[1]->leading());
-  EXPECT_EQ(replicas_[0]->elections(), 1u);
-  EXPECT_EQ(replicas_[1]->elections(), 0u);
-  EXPECT_GT(replicas_[1]->standby_cycles(), 0u);
-  EXPECT_EQ(cluster_.api().leases().holder(kLease), "sgx-binpack-0");
-
-  // Every bind went through the leader; the standby did nothing.
-  EXPECT_EQ(replicas_[0]->total_bound(), 3u);
-  EXPECT_EQ(replicas_[1]->total_bound(), 0u);
+  run_to(Duration::minutes(10));
+  EXPECT_EQ(cluster_.api().pod_count(), 4u);  // no retry appeared
+  std::map<std::string, int> placements;
+  for (const Event& event : cluster_.api().events()) {
+    if (event.message.rfind("Scheduled to ", 0) == 0) ++placements[event.pod];
+  }
+  for (const PodRecord* record : cluster_.api().all_pods()) {
+    EXPECT_EQ(record->phase, cluster::PodPhase::kSucceeded)
+        << record->spec.name;
+    EXPECT_EQ(placements[record->spec.name], 1) << record->spec.name;
+  }
+  EXPECT_EQ(fleet_[0]->total_bound(), 4u);
+  EXPECT_EQ(fleet_[1]->total_bound(), 0u);
   EXPECT_EQ(cluster_.api().bind_conflicts(), 0u);
 }
 
-TEST_F(HaClusterFixture, LeaderCrashMidStreamFailsOverWithinOneTtl) {
-  // Four big pods: one fits per SGX node, so two bind immediately and two
-  // stay pending — the queue is half-drained when the leader dies.
-  for (int i = 0; i < 4; ++i) {
-    cluster_.api().submit(sgx_pod("p" + std::to_string(i), Pages{15'000}));
+TEST_F(FleetFailoverFixture, RestartResumesCyclingOnTheOwnShard) {
+  fleet_[1]->crash();
+  // Restarted off the fleet's 5 s grid, replica 1 cycles at t=17.5s,
+  // ahead of the survivor's t=20s cycle that would steal the pod.
+  run_to(Duration::millis(12'500));
+  const std::uint64_t cycles_while_dead = fleet_[1]->cycles();
+  fleet_[1]->restart();
+  EXPECT_FALSE(fleet_[1]->crashed());
+  run_to(Duration::seconds(16));
+  const std::string pod = name_in_shard("q", 1);
+  cluster_.api().submit(sgx_pod(pod, Pages{1000}));
+
+  run_to(Duration::seconds(18));
+  EXPECT_GT(fleet_[1]->cycles(), cycles_while_dead);
+  EXPECT_NE(phase(pod), cluster::PodPhase::kPending);
+  EXPECT_EQ(fleet_[1]->total_bound(), 1u);
+  EXPECT_EQ(fleet_[1]->steal_cycles(), 0u);
+  EXPECT_EQ(fleet_[0]->total_bound(), 0u);
+}
+
+TEST_F(FleetFailoverFixture, RestartDropsBackoffsArmedBeforeTheCrash) {
+  for (core::SgxAwareScheduler* replica : fleet_) {
+    replica->set_bind_backoff(Duration::seconds(60), Duration::minutes(10));
   }
-  run_to(Duration::seconds(12));
-  ASSERT_EQ(replicas_[0]->total_bound(), 2u);
-  ASSERT_EQ(cluster_.api()
-                .list_pods({cluster::PodPhase::kPending, {}, {}, {}})
-                .size(),
-            2u);
-
-  // Crash-stop at t=12s: the lease (last renewed at t=10s) is NOT
-  // released and lapses at t=25s; the standby's t=25s cycle takes over —
-  // within one TTL + one period of the crash.
-  replicas_[0]->crash();
-  ASSERT_TRUE(replicas_[0]->crashed());
-
-  run_to(Duration::seconds(26));
-  EXPECT_TRUE(replicas_[1]->leading());
-  EXPECT_EQ(replicas_[1]->elections(), 1u);
-  EXPECT_EQ(cluster_.api().leases().holder(kLease), "sgx-binpack-1");
-  // The lease history shows the handover: 0 acquires, 1 takes over.
-  EXPECT_EQ(cluster_.api().leases().transition_count(kLease), 2u);
-
-  // The half-scheduled workload completes under the new leader: nothing
-  // lost, nothing double-placed, no retries materialized from thin air.
-  run_to(Duration::minutes(10));
-  EXPECT_EQ(cluster_.api().pod_count(), 4u);
-  std::size_t succeeded = 0;
-  for (const PodRecord* record : cluster_.api().all_pods()) {
-    if (record->phase == cluster::PodPhase::kSucceeded) ++succeeded;
-  }
-  EXPECT_EQ(succeeded, 4u);
-  EXPECT_EQ(replicas_[0]->total_bound(), 2u);
-  EXPECT_EQ(replicas_[1]->total_bound(), 2u);
-}
-
-TEST_F(HaClusterFixture, RestartedReplicaRejoinsAsStandby) {
-  run_to(Duration::seconds(12));
-  replicas_[0]->crash();
-  run_to(Duration::seconds(26));
-  ASSERT_TRUE(replicas_[1]->leading());
-
-  replicas_[0]->restart();
-  EXPECT_FALSE(replicas_[0]->crashed());
-  run_to(Duration::seconds(45));
-  // The reborn replica contends but the new leader keeps renewing.
-  EXPECT_FALSE(replicas_[0]->leading());
-  EXPECT_TRUE(replicas_[1]->leading());
-  EXPECT_EQ(cluster_.api().leases().holder(kLease), "sgx-binpack-1");
-}
-
-// ---- manually-driven scenarios (single node, run_once by hand) -------------
-
-cluster::MachineSpec sgx_machine(const std::string& name, Pages epc) {
-  cluster::MachineSpec spec;
-  spec.name = name;
-  spec.cpu_cores = 4;
-  spec.memory = 64_GiB;
-  spec.epc = sgx::EpcConfig::with_usable(epc.as_bytes());
-  return spec;
-}
-
-/// One SGX node with 1000 usable EPC pages and two default-scheduler
-/// replicas driven by hand — run_once ordering is the test's to choose.
-class HaManualFixture : public ::testing::Test {
- protected:
-  HaManualFixture()
-      : api_(sim_),
-        node_(sgx_machine("sgx-1", Pages{1000})),
-        kubelet_(sim_, node_, perf_, registry_, api_),
-        r0_(sim_, api_, Duration::seconds(5), "default-0"),
-        r1_(sim_, api_, Duration::seconds(5), "default-1") {
-    api_.register_node(node_, kubelet_);
-    r0_.enable_leader_election(kLease, kTtl);
-    r1_.enable_leader_election(kLease, kTtl);
-  }
-
-  void advance(Duration d) { sim_.run_until(sim_.now() + d); }
-
-  sim::Simulation sim_;
-  ApiServer api_;
-  sgx::PerfModel perf_;
-  cluster::ImageRegistry registry_;
-  cluster::Node node_;
-  cluster::Kubelet kubelet_;
-  DefaultScheduler r0_;
-  DefaultScheduler r1_;
-};
-
-TEST_F(HaManualFixture, ForcedLeaseExpiryHandsOverWithoutWaitingForTtl) {
-  ASSERT_EQ(r0_.run_once(), 0u);
-  ASSERT_TRUE(r0_.leading());
-
-  // The lease_expiry fault: the holder is dropped on the spot, so the
-  // next contender wins immediately instead of waiting out the TTL.
-  api_.leases().expire(kLease);
-  EXPECT_EQ(api_.leases().holder(kLease), std::nullopt);
-  advance(Duration::seconds(1));
-  r1_.run_once();
-  EXPECT_TRUE(r1_.leading());
-  EXPECT_EQ(r1_.elections(), 1u);
-
-  // The deposed leader discovers its loss on its next cycle.
-  r0_.run_once();
-  EXPECT_FALSE(r0_.leading());
-  EXPECT_GT(r0_.standby_cycles(), 0u);
-}
-
-TEST_F(HaManualFixture, ElectionClearsInheritedBindBackoffs) {
-  r0_.set_bind_backoff(Duration::seconds(60), Duration::minutes(10));
-
-  // A short-lived filler occupies 600 of 1000 pages; the 600-page pod
-  // fits nowhere, so leader r0 arms a 60 s backoff against it.
-  api_.submit(sgx_pod("filler", Pages{600}, Duration::seconds(2)));
-  ASSERT_TRUE(api_.try_bind("filler", "sgx-1",
-                            api_.pod("filler").resource_version)
+  // Replica 0 stays down, so only replica 1 ever sees the pod. A short
+  // filler holds sgx-1; the pinned 15k-page pod fits nowhere, and
+  // replica 1's t=5s cycle arms a 60 s backoff against it.
+  fleet_[0]->crash();
+  cluster::PodSpec filler = sgx_pod("filler", Pages{15'000},
+                                    Duration::seconds(5));
+  filler.node_selector = "sgx-1";
+  cluster_.api().submit(filler);
+  ASSERT_TRUE(cluster_.api()
+                  .try_bind("filler", "sgx-1",
+                            cluster_.api().pod("filler").resource_version)
                   .bound());
-  api_.submit(sgx_pod("pod", Pages{600}, Duration::hours(1)));
-  ASSERT_EQ(r0_.run_once(), 0u);
-  ASSERT_TRUE(r0_.leading());
+  const std::string pod = name_in_shard("big", 1);
+  cluster::PodSpec big = sgx_pod(pod, Pages{15'000}, Duration::hours(1));
+  big.node_selector = "sgx-1";
+  cluster_.api().submit(big);
+  run_to(Duration::seconds(6));
+  ASSERT_EQ(phase(pod), cluster::PodPhase::kPending);
+  fleet_[1]->crash();
 
-  // Leadership moves to r1 and r0 acknowledges the demotion.
-  api_.leases().expire(kLease);
-  advance(Duration::seconds(1));
-  r1_.run_once();
-  ASSERT_TRUE(r1_.leading());
-  r0_.run_once();
-  ASSERT_FALSE(r0_.leading());
+  // The filler finishes and its samples age out of the metrics window,
+  // all well before the 60 s backoff would elapse.
+  run_to(Duration::seconds(42));
+  ASSERT_EQ(phase("filler"), cluster::PodPhase::kSucceeded);
 
-  // r1 dies and the lease is force-expired; meanwhile the filler finishes
-  // and frees the pages — all well before r0's 60 s backoff would have
-  // elapsed.
-  r1_.crash();
-  api_.leases().expire(kLease);
-  advance(Duration::seconds(4));
-  ASSERT_EQ(api_.pod("filler").phase, cluster::PodPhase::kSucceeded);
-
-  // Re-elected r0 must bind immediately: on_elected dropped the backoff
-  // its previous leadership stint armed. Were it inherited, this cycle
-  // would skip the pod until t=60s.
-  EXPECT_EQ(r0_.run_once(), 1u);
-  EXPECT_EQ(r0_.elections(), 2u);
-  EXPECT_EQ(r0_.backoff_skips(), 0u);
-  EXPECT_EQ(api_.pod("pod").phase, cluster::PodPhase::kBound);
-}
-
-TEST_F(HaManualFixture, SplitBrainWindowMakesBothLeadButBreaksNothing) {
-  api_.submit(sgx_pod("a", Pages{300}, Duration::hours(1)));
-  api_.submit(sgx_pod("b", Pages{300}, Duration::hours(1)));
-
-  ASSERT_EQ(r0_.run_once(), 2u);
-  api_.leases().set_split_brain(true);
-  r1_.run_once();
-
-  // Both replicas now believe they lead — the grant was illegitimate.
-  EXPECT_TRUE(r0_.leading());
-  EXPECT_TRUE(r1_.leading());
-  EXPECT_GE(api_.leases().split_grants(), 1u);
-  // The recorded holder never changed, and no pod was double-placed.
-  EXPECT_EQ(api_.leases().holder(kLease), "default-0");
-  EXPECT_EQ(api_.assigned_pods("sgx-1").size(), 2u);
-  EXPECT_LE(node_.device_allocator().allocated(),
-            node_.device_allocator().advertised());
-
-  // Heal: the pretender reverts to standby on its next cycle.
-  api_.leases().set_split_brain(false);
-  advance(Duration::seconds(5));
-  r0_.run_once();  // renews
-  r1_.run_once();
-  EXPECT_TRUE(r0_.leading());
-  EXPECT_FALSE(r1_.leading());
-}
-
-TEST_F(HaManualFixture, ElectionRequiresTtlLongerThanPeriod) {
-  DefaultScheduler bad{sim_, api_, Duration::seconds(5), "default-bad"};
-  EXPECT_THROW(bad.enable_leader_election(kLease, Duration::seconds(5)),
-               ContractViolation);
-  EXPECT_THROW(bad.enable_leader_election("", kTtl), ContractViolation);
+  // Restarted, replica 1 must bind on its first cycle (t=47s). Had it
+  // kept the old backoff, it would skip the pod until t=65s.
+  fleet_[1]->restart();
+  run_to(Duration::seconds(48));
+  EXPECT_EQ(fleet_[1]->backoff_skips(), 0u);
+  EXPECT_NE(phase(pod), cluster::PodPhase::kPending);
 }
 
 }  // namespace

@@ -1,7 +1,6 @@
 // Shared-state (Omega-style) scheduler framework tests: stable shard
 // assignment, shard-filtered limited pulls, work stealing, the
-// conflict-rate congestion controller, and mutual exclusion with leader
-// election.
+// conflict-rate congestion controller, and shard validation.
 #include <gtest/gtest.h>
 
 #include <set>
@@ -9,6 +8,7 @@
 #include "common/error.hpp"
 #include "orch/api_server.hpp"
 #include "orch/default_scheduler.hpp"
+#include "pod_names.hpp"
 
 namespace sgxo::orch {
 namespace {
@@ -131,7 +131,7 @@ TEST_F(SharedStateFixture, SharedStateCycleDrainsOwnShardFirst) {
   // The next cycle finds shard 0 dry and steals the neighbour's backlog.
   EXPECT_EQ(worker.run_once(), 20u - own_shard);
   EXPECT_EQ(worker.steal_cycles(), 1u);
-  EXPECT_TRUE(api_.pending_pods(api_.default_scheduler()).empty());
+  EXPECT_TRUE(pending_names(api_, api_.default_scheduler()).empty());
 }
 
 TEST_F(SharedStateFixture, StrictPartitioningIdlesInsteadOfStealing) {
@@ -177,7 +177,7 @@ TEST_F(SharedStateFixture, ConflictControllerShrinksRehardsAndRecovers) {
       [&](const ApiServer::PodUpdate& update) {
         if (update.phase != cluster::PodPhase::kBound || rival_active) return;
         rival_active = true;
-        const auto pending = api_.pending_pods(api_.default_scheduler());
+        const auto pending = pending_names(api_, api_.default_scheduler());
         if (!pending.empty()) {
           (void)api_.try_bind(pending.front(), "node-1",
                               api_.pod(pending.front()).resource_version);
@@ -215,21 +215,12 @@ TEST_F(SharedStateFixture, ConflictControllerShrinksRehardsAndRecovers) {
   EXPECT_EQ(worker.batch_capacity(), 16u);
 }
 
-TEST_F(SharedStateFixture, SharedStateAndLeaderElectionExclude) {
-  DefaultScheduler a{sim_, api_, Duration::seconds(5), "a"};
-  a.enable_leader_election("lease", Duration::seconds(30));
-  EXPECT_THROW(a.enable_shared_state(SharedStateConfig{}), ContractViolation);
-
-  DefaultScheduler b{sim_, api_, Duration::seconds(5), "b"};
-  b.enable_shared_state(SharedStateConfig{});
-  EXPECT_THROW(b.enable_leader_election("lease", Duration::seconds(30)),
-               ContractViolation);
-
-  DefaultScheduler c{sim_, api_, Duration::seconds(5), "c"};
+TEST_F(SharedStateFixture, RejectsAShardOutsideTheFleet) {
+  DefaultScheduler worker{sim_, api_, Duration::seconds(5), "replica-0"};
   SharedStateConfig bad;
   bad.shard = 3;
   bad.shard_count = 2;
-  EXPECT_THROW(c.enable_shared_state(bad), ContractViolation);
+  EXPECT_THROW(worker.enable_shared_state(bad), ContractViolation);
 }
 
 TEST_F(SharedStateFixture, HealthReportsSharedStateCounters) {
@@ -243,7 +234,6 @@ TEST_F(SharedStateFixture, HealthReportsSharedStateCounters) {
   EXPECT_EQ(health.shard, 1u);
   EXPECT_EQ(health.shard_count, 4u);
   EXPECT_EQ(health.batch_capacity, config.initial_batch);
-  EXPECT_FALSE(health.election_enabled);
 }
 
 }  // namespace
