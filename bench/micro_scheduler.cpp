@@ -1,12 +1,13 @@
 // Microbenchmark of scheduler decision latency: one full scheduling cycle
 // (view collection through the live metrics pipeline + FCFS placement over
 // the pending queue) for both placement policies, as the pending queue
-// grows into the thousands — plus the shared-state scaling curve: 1/2/4/8
-// always-active schedulers draining sharded pending queues of up to ~1M
-// pods over 100k nodes through try_bind_batch transactions, reporting
+// grows into the thousands — plus the shared-state scaling curve, a model
+// of 1/2/4/8 distributed scheduler replicas (not the in-process
+// orch::Scheduler fleet) draining sharded pending queues of up to ~1M pods
+// over 100k nodes through try_bind_batch transactions. It reports
 // per-shard cycle latency, aggregate binds/sec (parallel-makespan model:
-// wall clock = the busiest scheduler's summed cycle time) and the
-// observed conflict rate.
+// wall clock = the busiest replica's summed cycle time) and the observed
+// conflict rate.
 //
 // Besides the human-readable tables it writes BENCH_scheduler.json
 // (per-cycle latency vs pod count + the multi-scheduler curve) so the
@@ -138,9 +139,9 @@ struct SharedMeasurement {
   }
 };
 
-/// One shared-state scheduler replica driven against the ApiServer surface
-/// the framework uses: shard-filtered limited pulls, planning against a
-/// periodically refreshed node snapshot, and batched bind transactions.
+/// One modeled distributed replica driven against the ApiServer surface:
+/// shard-filtered limited pulls, planning against a periodically refreshed
+/// node snapshot, and batched try_bind_batch transactions.
 /// The snapshot is deliberately allowed to go stale between refreshes —
 /// that is where real multi-scheduler conflicts come from.
 struct BenchReplica {
@@ -310,7 +311,10 @@ void write_json(const std::vector<Measurement>& results,
         << ", \"min_us\": " << m.min() << ", \"max_us\": " << m.max() << "}"
         << (i + 1 < results.size() ? "," : "") << "\n";
   }
-  out << "  ],\n  \"shared_state\": [\n";
+  out << "  ],\n  \"shared_state_model\": \"distributed replicas driving "
+         "try_bind_batch; makespan_s and binds_per_sec are a parallel-makespan "
+         "model (busiest replica's summed cycle time), not a measurement\",\n"
+      << "  \"shared_state\": [\n";
   for (std::size_t i = 0; i < shared.size(); ++i) {
     const SharedMeasurement& m = shared[i];
     out << "    {\"schedulers\": " << m.schedulers << ", \"pods\": " << m.pods
@@ -361,7 +365,8 @@ int main() {
   }
 
   Table shared_table({"schedulers", "pods", "nodes", "median cycle [us]",
-                      "makespan [s]", "binds/sec", "conflict rate"});
+                      "model makespan [s]", "model binds/sec",
+                      "conflict rate"});
   for (const SharedMeasurement& m : shared) {
     shared_table.add_row(
         {std::to_string(m.schedulers), std::to_string(m.pods),
@@ -369,7 +374,9 @@ int main() {
          fmt_double(m.makespan_s, 3), fmt_double(m.binds_per_sec(), 0),
          fmt_double(m.conflict_rate(), 4)});
   }
-  std::cout << "\n";
+  std::cout << "\nshared-state model: distributed replicas driving "
+               "try_bind_batch (makespan = busiest replica's summed cycle "
+               "time)\n";
   shared_table.print(std::cout);
 
   // The acceptance gate for the shared-state path: at the 100k-pod point

@@ -5,7 +5,6 @@
 
 #include "common/error.hpp"
 #include "common/hash.hpp"
-#include "common/log.hpp"
 
 namespace sgxo::cluster {
 
@@ -217,12 +216,10 @@ void Kubelet::launch_workload(const PodName& name, std::uint64_t incarnation) {
     try {
       auto launch = sdk.launch_enclave(pid, cgroup, build_size);
       pod.enclave.emplace(std::move(launch.enclave));
-    } catch (const sgx::EnclaveInitDenied& denied) {
+    } catch (const sgx::EnclaveInitDenied&) {
       // The driver's enforcement hook killed the pod right after launch —
       // exactly what happens to the 44 over-allocating trace jobs and the
       // malicious containers when limits are enabled (Fig. 11).
-      SGXO_INFO("pod " << name << " denied by EPC limit enforcement: "
-                       << denied.what());
       teardown(pod);
       active_.erase(it);
       listener_->on_pod_failed(name, "EpcLimitExceeded");
@@ -269,10 +266,9 @@ void Kubelet::schedule_dynamic_profile(const PodName& name,
     }
     try {
       (void)pod_it->second.enclave->grow(delta);
-    } catch (const sgx::EnclaveGrowthDenied& denied) {
+    } catch (const sgx::EnclaveGrowthDenied&) {
       // Growth beyond the pod's advertised limit: the SGX 2 port of the
       // enforcement hook kills the pod mid-run.
-      SGXO_INFO("pod " << name << " EAUG denied: " << denied.what());
       teardown(pod_it->second);
       active_.erase(pod_it);
       listener_->on_pod_failed(name, "EpcLimitExceeded");
@@ -398,11 +394,10 @@ void Kubelet::admit_migrated(MigrationBundle bundle,
       restored = service.restore(*node_->driver(), shared->checkpoint, pid,
                                  ContainerRuntime::cgroup_path_for(name));
     } catch (const DomainError& error) {
-      SGXO_WARN("restore of migrated pod " << name
-                                           << " failed: " << error.what());
       teardown(pod);
       active_.erase(it);
-      listener_->on_pod_failed(name, "MigrationFailed");
+      listener_->on_pod_failed(name,
+                               std::string("MigrationFailed: ") + error.what());
       return;
     }
     pod.enclave.emplace(*node_->driver(), *perf_, restored.enclave,

@@ -28,9 +28,7 @@ SgxAwareScheduler::SgxAwareScheduler(sim::Simulation& sim,
       config_(std::move(config)),
       metrics_(db, config_.metrics_window) {
   if (!config_.identity.empty()) set_identity(config_.identity);
-  if (config_.shared_state.has_value()) {
-    enable_shared_state(*config_.shared_state);
-  }
+  enable_shared_state(config_.shared_state);
 }
 
 std::vector<orch::NodeView> SgxAwareScheduler::collect_views() {

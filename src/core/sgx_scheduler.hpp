@@ -41,10 +41,10 @@ struct SgxSchedulerConfig {
   /// Replica identity (a shared-state fleet runs N replicas sharing a
   /// name). Empty = the name itself.
   std::string identity;
-  /// Shared-state mode (Omega-style): when set, this replica runs as one
-  /// always-active shard worker of a multi-scheduler fleet; binds go out
-  /// as batched transactions.
-  std::optional<orch::SharedStateConfig> shared_state;
+  /// Shared-state fleet position (Omega-style): this replica drains one
+  /// shard of the pending queue with per-pod conditional binds. The
+  /// default, shard 0 of 1, is a lone scheduler.
+  orch::SharedStateConfig shared_state;
   /// Priority preemption under contention (extension; the paper's
   /// per-process EPC ioctl exists "to identify processes that should be
   /// preempted", §V-E): a pending pod that fits nowhere may evict

@@ -135,8 +135,7 @@ core::SgxAwareScheduler& SimulatedCluster::add_sgx_scheduler(
 }
 
 std::vector<core::SgxAwareScheduler*> SimulatedCluster::add_shared_state_fleet(
-    std::size_t replicas, core::SgxSchedulerConfig base,
-    orch::SharedStateConfig shard_base) {
+    std::size_t replicas, core::SgxSchedulerConfig base) {
   SGXO_CHECK_MSG(replicas >= 1, "a fleet needs at least one replica");
   const std::string name = base.name.empty()
                                ? core::SgxAwareScheduler::default_name(
@@ -148,10 +147,8 @@ std::vector<core::SgxAwareScheduler*> SimulatedCluster::add_shared_state_fleet(
     core::SgxSchedulerConfig config = base;
     config.name = name;
     config.identity = name + "-" + std::to_string(i);
-    orch::SharedStateConfig shard = shard_base;
-    shard.shard = static_cast<std::uint32_t>(i);
-    shard.shard_count = static_cast<std::uint32_t>(replicas);
-    config.shared_state = shard;
+    config.shared_state = {static_cast<std::uint32_t>(i),
+                           static_cast<std::uint32_t>(replicas)};
     fleet.push_back(&add_sgx_scheduler(std::move(config)));
   }
   return fleet;

@@ -107,11 +107,10 @@ class SimulatedCluster {
   /// Creates and starts an Omega-style shared-state fleet: `replicas`
   /// always-active SGX-aware schedulers sharing one name, replica i
   /// draining shard i of `replicas` with identities "<name>-i". `base`
-  /// supplies everything except name/identity/shard (its shard_count is
-  /// overwritten with `replicas`). Returns the replicas in shard order.
+  /// supplies everything except name/identity/shard. Returns the replicas
+  /// in shard order.
   std::vector<core::SgxAwareScheduler*> add_shared_state_fleet(
-      std::size_t replicas, core::SgxSchedulerConfig base = {},
-      orch::SharedStateConfig shard_base = {});
+      std::size_t replicas, core::SgxSchedulerConfig base = {});
 
   /// All schedulers this fixture owns, in creation order.
   [[nodiscard]] std::vector<orch::Scheduler*> schedulers();

@@ -5,7 +5,6 @@
 
 #include "common/error.hpp"
 #include "common/hash.hpp"
-#include "common/log.hpp"
 
 namespace sgxo::orch {
 
@@ -55,8 +54,6 @@ const char* to_string(ApiServer::BindStatus status) {
       return "AttestationPending";
     case ApiServer::BindStatus::kAttestationRejected:
       return "AttestationRejected";
-    case ApiServer::BindStatus::kBatchAborted:
-      return "BatchAborted";
   }
   return "unknown";
 }
@@ -358,7 +355,7 @@ void ApiServer::apply_bind(PodRecord& record, const NodeEntry& entry) {
 }
 
 ApiServer::BatchBindResult ApiServer::try_bind_batch(
-    const std::vector<BindRequest>& batch, BatchMode mode) {
+    const std::vector<BindRequest>& batch) {
   BatchBindResult result;
   result.entries.resize(batch.size());
 
@@ -370,7 +367,6 @@ ApiServer::BatchBindResult ApiServer::try_bind_batch(
   std::vector<bool> valid(batch.size(), false);
   std::map<cluster::NodeName, Pages> staged;
   std::set<cluster::PodName> staged_pods;
-  bool all_valid = true;
   for (std::size_t i = 0; i < batch.size(); ++i) {
     const BindRequest& request = batch[i];
     BindOutcome& outcome = result.entries[i];
@@ -381,21 +377,18 @@ ApiServer::BatchBindResult ApiServer::try_bind_batch(
       outcome.status = BindStatus::kNotPending;
       ++bind_conflicts_;
       ++result.conflicts;
-      all_valid = false;
       continue;
     }
     if (record.resource_version != request.expected_version) {
       outcome.status = BindStatus::kStaleVersion;
       ++bind_conflicts_;
       ++result.conflicts;
-      all_valid = false;
       continue;
     }
     const NodeEntry* entry = find_node(request.node);
     if (entry == nullptr || !entry->node->schedulable()) {
       outcome.status = BindStatus::kNodeUnavailable;
       ++result.unavailable;
-      all_valid = false;
       continue;
     }
     // Attestation gate (when enabled): binds to SGX nodes need a fresh
@@ -409,7 +402,6 @@ ApiServer::BatchBindResult ApiServer::try_bind_batch(
         outcome.status = BindStatus::kAttestationPending;
         ++attestation_pending_;
         ++result.attestation_pending;
-        all_valid = false;
         continue;
       }
       if (check == AttestationGate::Check::kRejected) {
@@ -418,7 +410,6 @@ ApiServer::BatchBindResult ApiServer::try_bind_batch(
         ++result.attestation_rejections;
         record_event(request.pod,
                      "BindRejected: attestation verdict on " + request.node);
-        all_valid = false;
         continue;
       }
     }
@@ -434,7 +425,6 @@ ApiServer::BatchBindResult ApiServer::try_bind_batch(
       ++result.admission_rejections;
       record_event(request.pod,
                    "BindRejected: EPC admission guard on " + request.node);
-      all_valid = false;
       continue;
     }
     valid[i] = true;
@@ -444,18 +434,10 @@ ApiServer::BatchBindResult ApiServer::try_bind_batch(
     staged_pods.insert(request.pod);
   }
 
-  if (mode == BatchMode::kAtomic && !all_valid) {
-    result.aborted = true;
-    for (std::size_t i = 0; i < batch.size(); ++i) {
-      if (valid[i]) result.entries[i].status = BindStatus::kBatchAborted;
-    }
-    return result;
-  }
-
   // Phase 2 — apply in batch order. A watch callback fired by an earlier
   // apply may mutate a later entry's pod or node mid-batch; the re-checks
-  // downgrade such entries to clean conflicts instead of trusting the
-  // stale validation.
+  // turn such entries into clean rejections instead of trusting the stale
+  // validation.
   for (std::size_t i = 0; i < batch.size(); ++i) {
     if (!valid[i]) continue;
     const BindRequest& request = batch[i];
@@ -499,6 +481,18 @@ ApiServer::BatchBindResult ApiServer::try_bind_batch(
         ++result.attestation_rejections;
         continue;
       }
+    }
+    // Admission re-check: a watch callback may have bound another pod
+    // onto this node since validation. The entries applied before this
+    // one are live commitments by now, so nothing staged is added.
+    if (!entry->kubelet->can_admit(record.spec, Pages{0})) {
+      outcome.status = BindStatus::kAdmissionRejected;
+      outcome.resource_version = record.resource_version;
+      ++guard_rejections_;
+      ++result.admission_rejections;
+      record_event(request.pod,
+                   "BindRejected: EPC admission guard on " + request.node);
+      continue;
     }
     apply_bind(record, *entry);
     outcome.resource_version = record.resource_version;

@@ -16,7 +16,7 @@
 // Write path: conditional binds are the only scheduling writes. try_bind
 // CASes one pod; try_bind_batch validates a whole transaction of
 // (pod, node, version) entries — charging EPC admission cumulatively per
-// node — and applies per-entry or atomically. N active schedulers racing
+// node — and applies the valid entries. N active schedulers racing
 // optimistically over sharded pending queues (Omega-style shared state)
 // are safe by construction: a loser gets a clean per-entry conflict, never
 // a double placement or an EPC over-commit.
@@ -115,7 +115,7 @@ struct PodFilter {
   std::uint32_t shard_count = 0;
   /// Truncates the result after ordering (0 = unlimited). The pending
   /// read path streams, so a limited query costs O(entries scanned until
-  /// the limit), not O(queue) — the shared-state batch pull depends on it.
+  /// the limit), not O(queue).
   std::size_t limit = 0;
 };
 
@@ -205,9 +205,6 @@ class ApiServer final : public cluster::PodLifecycleListener {
     /// definitive rejection (forged quote, revoked or unexpected
     /// measurement): the bind is refused until the verdict changes.
     kAttestationRejected,
-    /// kAtomic batch only: this entry validated cleanly but another entry
-    /// did not, so the whole transaction was rolled forward to nothing.
-    kBatchAborted,
   };
 
   /// Outcome of one conditional bind: the status plus the pod's observed
@@ -232,20 +229,8 @@ class ApiServer final : public cluster::PodLifecycleListener {
     std::uint64_t expected_version = 0;
   };
 
-  /// Transaction semantics of try_bind_batch.
-  enum class BatchMode {
-    /// Each entry is individually all-or-nothing: valid entries apply,
-    /// invalid entries leave their pod untouched. The shared-state
-    /// schedulers' default.
-    kPerEntry,
-    /// Any invalid entry aborts the whole batch before anything applies;
-    /// clean entries come back kBatchAborted.
-    kAtomic,
-  };
-
   /// Result of a bind transaction: per-entry outcomes (parallel to the
-  /// request vector) plus the conflict summary the shared-state
-  /// schedulers feed into their batch-size/re-shard backoff.
+  /// request vector) plus a conflict summary.
   struct BatchBindResult {
     std::vector<BindOutcome> entries;
     std::size_t bound = 0;
@@ -260,8 +245,6 @@ class ApiServer final : public cluster::PodLifecycleListener {
     std::size_t attestation_pending = 0;
     /// kAttestationRejected entries (cached definitive rejection).
     std::size_t attestation_rejections = 0;
-    /// kAtomic only: the batch validated dirty and nothing was applied.
-    bool aborted = false;
 
     /// Contended fraction of the batch — conflicts and guard rejections
     /// over attempts (0 for an empty batch). Node deaths are excluded:
@@ -283,20 +266,21 @@ class ApiServer final : public cluster::PodLifecycleListener {
                        const cluster::NodeName& node,
                        std::uint64_t expected_version);
 
-  /// Transactional batch bind — the write surface of the shared-state
-  /// multi-scheduler control plane. Two phases:
+  /// Transactional batch bind; try_bind is its one-entry case. Two
+  /// phases:
   ///   1. *Validate* every (pod, node, expected_version) entry against
   ///      live state: the CAS checks of try_bind plus EPC admission
   ///      charged cumulatively per node, so two entries of one batch can
   ///      never share the same last pages. Nothing mutates.
-  ///   2. *Apply* the valid entries in batch order (kPerEntry), or all of
-  ///      them only if every entry validated (kAtomic).
+  ///   2. *Apply* the valid entries in batch order; each entry is
+  ///      individually all-or-nothing, and invalid entries leave their pod
+  ///      untouched.
   /// A watch callback fired mid-apply can invalidate a later entry; the
-  /// apply re-checks and downgrades such entries to a clean conflict
-  /// instead of double-placing. Entry order is caller order — batch
+  /// apply re-checks pod, node, attestation and EPC admission, and turns
+  /// such entries into a clean rejection instead of double-placing or
+  /// over-committing. Entry order is caller order — batch
   /// construction must itself be deterministic for seed-stable runs.
-  BatchBindResult try_bind_batch(const std::vector<BindRequest>& batch,
-                                 BatchMode mode = BatchMode::kPerEntry);
+  BatchBindResult try_bind_batch(const std::vector<BindRequest>& batch);
 
   /// try_bind rejections due to a stale version or a no-longer-pending
   /// pod (two schedulers racing for the same pod).

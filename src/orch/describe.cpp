@@ -203,7 +203,7 @@ std::string describe_control_plane(
     os << "  " << health.identity << " (" << health.name << "): ";
     if (health.crashed) {
       os << "CRASHED";
-    } else if (health.shared_state) {
+    } else if (health.shard_count > 1) {
       os << "active shard=" << health.shard << "/" << health.shard_count;
     } else {
       os << "active";
@@ -214,12 +214,7 @@ std::string describe_control_plane(
        << " backoff_skips=" << health.backoff_skips
        << " degraded_cycles=" << health.degraded_cycles
        << " attestation_waits=" << health.attestation_waits;
-    if (health.shared_state) {
-      os << " batch=" << health.batch_capacity
-         << " batches=" << health.batches
-         << " steal_cycles=" << health.steal_cycles
-         << " reshards=" << health.reshards;
-    }
+    if (health.shard_count > 1) os << " steal_cycles=" << health.steal_cycles;
     os << '\n';
   }
   return os.str();

@@ -40,8 +40,8 @@ namespace sgxo::orch {
 /// when more than a quarter of the attested nodes are mid
 /// re-verification), and one line per scheduler replica (identity,
 /// active/shard/crashed state, cycles, binds, conflicts, backoff skips,
-/// degraded cycles, attestation waits, and the shared-state batch
-/// counters).
+/// degraded cycles, attestation waits, and a fleet replica's steal
+/// cycles).
 [[nodiscard]] std::string describe_control_plane(
     const ApiServer& api, const std::vector<const Scheduler*>& schedulers,
     TimePoint now);

@@ -57,17 +57,7 @@ void Scheduler::enable_shared_state(SharedStateConfig config) {
   SGXO_CHECK_MSG(config.shard_count >= 1, "shard_count must be >= 1");
   SGXO_CHECK_MSG(config.shard < config.shard_count,
                  "shard must be < shard_count");
-  SGXO_CHECK_MSG(config.min_batch >= 1, "min_batch must be >= 1");
-  SGXO_CHECK_MSG(config.min_batch <= config.initial_batch &&
-                     config.initial_batch <= config.max_batch,
-                 "batch bounds must satisfy min <= initial <= max");
-  SGXO_CHECK_MSG(config.shrink_above > config.grow_below,
-                 "controller thresholds must satisfy shrink_above > "
-                 "grow_below, or a batch could shrink and grow at once");
-  shared_ = config;
-  batch_size_ = config.initial_batch;
-  conflict_streak_ = 0;
-  steal_rotation_ = 0;
+  fleet_ = config;
 }
 
 void Scheduler::crash() {
@@ -97,15 +87,9 @@ Scheduler::Health Scheduler::health() const {
   health.attestation_waits = attestation_waits_;
   health.backoff_skips = backoff_skips_;
   health.degraded_cycles = degraded_cycles();
-  health.shared_state = shared_state_enabled();
-  if (shared_state_enabled()) {
-    health.shard = shared_->shard;
-    health.shard_count = shared_->shard_count;
-    health.batch_capacity = batch_size_;
-    health.batches = batches_;
-    health.steal_cycles = steal_cycles_;
-    health.reshards = reshards_;
-  }
+  health.shard = fleet_.shard;
+  health.shard_count = fleet_.shard_count;
+  health.steal_cycles = steal_cycles_;
   return health;
 }
 
@@ -140,10 +124,30 @@ void Scheduler::prune_backoffs() {
   }
 }
 
+std::vector<const PodRecord*> Scheduler::pull_pending() {
+  PodFilter filter;
+  filter.phase = cluster::PodPhase::kPending;
+  filter.scheduler = name_;
+  if (fleet_.shard_count == 1) return api_->list_pods(filter);
+
+  // The shard is a pure function of the pod name, so the pull — and with
+  // it the whole cycle — is bit-identical across same-seed runs. An empty
+  // own shard sends the replica to its neighbours in a fixed probe order,
+  // so a crashed (or merely slow) replica's backlog is absorbed without a
+  // failover step.
+  filter.shard_count = fleet_.shard_count;
+  filter.shard = fleet_.shard;
+  std::vector<const PodRecord*> pulled = api_->list_pods(filter);
+  for (std::uint32_t k = 1; pulled.empty() && k < fleet_.shard_count; ++k) {
+    filter.shard = (fleet_.shard + k) % fleet_.shard_count;
+    pulled = api_->list_pods(filter);
+    if (!pulled.empty()) ++steal_cycles_;
+  }
+  return pulled;
+}
+
 std::size_t Scheduler::run_once() {
   if (crashed_) return 0;
-
-  if (shared_state_enabled()) return run_shared_cycle();
 
   ++cycles_;
   std::vector<NodeView> views = collect_views();
@@ -153,7 +157,8 @@ std::size_t Scheduler::run_once() {
   // FCFS: older pods get first pick of this cycle's resources; pods that
   // fit nowhere right now stay pending without blocking younger ones
   // (Kubernetes semantics). list_pods serves the maintained pending-queue
-  // index in scheduling order — no store scan, no per-pod lookup.
+  // index in scheduling order — no store scan, no per-pod lookup. A fleet
+  // replica walks its whole shard (see pull_pending).
   //
   // The cycle works on a snapshot: record pointers plus the resource
   // version each pod had when the cycle started. Binds are conditional on
@@ -161,15 +166,12 @@ std::size_t Scheduler::run_once() {
   // callback fired by an earlier bind, another scheduler binding the same
   // pod — turns this scheduler's attempt into a clean conflict instead of
   // a double placement.
-  PodFilter filter;
-  filter.phase = cluster::PodPhase::kPending;
-  filter.scheduler = name_;
   struct PendingSnapshot {
     const PodRecord* record;
     std::uint64_t version;
   };
   std::vector<PendingSnapshot> snapshot;
-  for (const PodRecord* record : api_->list_pods(filter)) {
+  for (const PodRecord* record : pull_pending()) {
     snapshot.push_back(PendingSnapshot{record, record->resource_version});
   }
   for (const PendingSnapshot& pending : snapshot) {
@@ -264,159 +266,6 @@ std::size_t Scheduler::run_once() {
   // queue (bound elsewhere, finished, failed) are dropped periodically.
   if (bind_backoff_enabled() && cycles_ % 64 == 0) prune_backoffs();
 
-  bound_ += bound_this_cycle;
-  return bound_this_cycle;
-}
-
-std::size_t Scheduler::run_shared_cycle() {
-  ++cycles_;
-  const SharedStateConfig& config = *shared_;
-
-  // Pull up to one batch from this replica's own shard; if that shard is
-  // dry, probe neighbours in a deterministic rotation so a crashed (or
-  // merely slow) replica's backlog is absorbed without a failover step.
-  // The shard is a pure function of the pod name, so the pull — and with
-  // it the whole cycle — is bit-identical across same-seed runs.
-  PodFilter filter;
-  filter.phase = cluster::PodPhase::kPending;
-  filter.scheduler = name_;
-  filter.shard_count = config.shard_count;
-  filter.shard = config.shard;
-  filter.limit = batch_size_;
-  std::vector<const PodRecord*> pulled = api_->list_pods(filter);
-  if (pulled.empty() && config.work_stealing && config.shard_count > 1) {
-    for (std::uint32_t k = 1; k < config.shard_count; ++k) {
-      const std::uint32_t candidate =
-          (config.shard + steal_rotation_ + k) % config.shard_count;
-      if (candidate == config.shard) continue;
-      filter.shard = candidate;
-      pulled = api_->list_pods(filter);
-      if (!pulled.empty()) {
-        ++steal_cycles_;
-        break;
-      }
-    }
-  }
-  if (pulled.empty()) return 0;
-
-  // Plan the whole batch against one optimistic snapshot, reserving each
-  // staged placement in the cycle-local views so two batch entries cannot
-  // both claim the same node's last EPC pages from this replica's side.
-  // (Cross-replica races are the ApiServer's job: version CAS + the
-  // admission guard turn them into per-entry conflicts.)
-  std::vector<NodeView> views = collect_views();
-  std::vector<ApiServer::BindRequest> batch;
-  batch.reserve(pulled.size());
-  bool unschedulable_reported = false;
-  for (const PodRecord* record : pulled) {
-    const cluster::PodName& pod_name = record->spec.name;
-    const cluster::PodSpec& spec = record->spec;
-
-    if (bind_backoff_enabled()) {
-      const auto backoff_it = backoffs_.find(pod_name);
-      if (backoff_it != backoffs_.end() &&
-          sim_->now() < backoff_it->second.not_before) {
-        ++backoff_skips_;
-        continue;
-      }
-    }
-
-    std::vector<NodeView> feasible;
-    feasible.reserve(views.size());
-    std::copy_if(views.begin(), views.end(), std::back_inserter(feasible),
-                 [&](const NodeView& view) { return fits(spec, view); });
-    if (feasible.empty()) {
-      if (!unschedulable_reported) {
-        unschedulable_reported = true;
-        on_unschedulable(spec, views);
-      }
-      note_bind_failure(pod_name);
-      if (strict_fcfs_) break;
-      continue;
-    }
-
-    const std::optional<cluster::NodeName> chosen =
-        select_node(spec, feasible, views);
-    if (!chosen.has_value()) {
-      note_bind_failure(pod_name);
-      if (strict_fcfs_) break;
-      continue;
-    }
-
-    batch.push_back(ApiServer::BindRequest{pod_name, *chosen,
-                                           record->resource_version});
-    const auto view_it =
-        std::find_if(views.begin(), views.end(), [&](const NodeView& v) {
-          return v.name == *chosen;
-        });
-    SGXO_CHECK(view_it != views.end());
-    const cluster::ResourceAmounts request = spec.total_requests();
-    view_it->memory_used += request.memory;
-    view_it->epc_used += request.epc_pages;
-    view_it->epc_requested += request.epc_pages;
-  }
-
-  std::size_t bound_this_cycle = 0;
-  if (!batch.empty()) {
-    const ApiServer::BatchBindResult result = api_->try_bind_batch(batch);
-    ++batches_;
-    SGXO_CHECK(result.entries.size() == batch.size());
-    for (std::size_t i = 0; i < batch.size(); ++i) {
-      const cluster::PodName& pod_name = batch[i].pod;
-      switch (result.entries[i].status) {
-        case ApiServer::BindStatus::kBound:
-          backoffs_.erase(pod_name);
-          ++bound_this_cycle;
-          break;
-        case ApiServer::BindStatus::kStaleVersion:
-        case ApiServer::BindStatus::kNotPending:
-          // Lost the optimistic race to a sibling replica; the pod stays
-          // wherever the winner put it, no backoff penalty.
-          ++bind_conflicts_;
-          break;
-        case ApiServer::BindStatus::kAdmissionRejected:
-          // Stale view of the node's live EPC commitments.
-          ++guard_rejections_;
-          note_bind_failure(pod_name);
-          break;
-        case ApiServer::BindStatus::kNodeUnavailable:
-          note_bind_failure(pod_name);
-          break;
-        case ApiServer::BindStatus::kAttestationPending:
-        case ApiServer::BindStatus::kAttestationRejected:
-          // Parked behind the attestation gate; excluded from the
-          // conflict rate (not contention), retried after backoff.
-          ++attestation_waits_;
-          note_bind_failure(pod_name);
-          break;
-        case ApiServer::BindStatus::kBatchAborted:
-          break;  // kPerEntry batches never abort
-      }
-    }
-
-    // Conflict-rate congestion controller: sustained contention shrinks
-    // the batch (fewer staged binds per transaction → fewer casualties
-    // per race) and eventually rotates the steal origin so two replicas
-    // stop colliding on the same drained shard; clean batches grow back.
-    last_conflict_rate_ = result.conflict_rate();
-    if (last_conflict_rate_ > config.shrink_above) {
-      batch_size_ = std::max(config.min_batch, batch_size_ / 2);
-      ++conflict_streak_;
-      if (config.reshard_after > 0 &&
-          conflict_streak_ >= config.reshard_after) {
-        conflict_streak_ = 0;
-        steal_rotation_ = (steal_rotation_ + 1) % config.shard_count;
-        ++reshards_;
-      }
-    } else {
-      conflict_streak_ = 0;
-      if (last_conflict_rate_ < config.grow_below) {
-        batch_size_ = std::min(config.max_batch, batch_size_ * 2);
-      }
-    }
-  }
-
-  if (bind_backoff_enabled() && cycles_ % 64 == 0) prune_backoffs();
   bound_ += bound_this_cycle;
   return bound_this_cycle;
 }

@@ -10,17 +10,13 @@
 // Multiple replicas (Omega-style shared state): N replicas sharing one
 // scheduler *name* (they drain the same pending bucket) but carrying
 // distinct *identities* all run active (enable_shared_state). The pending
-// bucket is split into shards by stable pod hash; each replica drains its
-// own shard and steals from its neighbours (deterministic rotation order)
-// when its shard runs dry, so a crashed replica's backlog is absorbed
-// without any failover protocol. Each cycle plans up to one batch of
-// placements against its optimistic snapshot and submits them as ONE
-// ApiServer::try_bind_batch transaction; the batch's conflict summary
-// drives a congestion controller that halves the batch under sustained
-// contention (and rotates the steal origin — "re-shards") and grows it
-// again while batches come back clean. Binds are conditional
-// (resource-version CAS + kubelet admission guard), so two replicas
-// racing on stale views cannot double-place a pod or over-commit the EPC.
+// bucket is split into shards by stable pod hash; each replica runs the
+// same cycle over its own shard and steals a neighbour's shard
+// (deterministic probe order) when its own is empty, so a crashed
+// replica's backlog is absorbed without any failover protocol. A lone
+// scheduler is simply shard 0 of 1. Binds are conditional (resource-version
+// CAS + kubelet admission guard), so two replicas racing on stale views
+// cannot double-place a pod or over-commit the EPC.
 #pragma once
 
 #include <map>
@@ -35,30 +31,14 @@
 
 namespace sgxo::orch {
 
-/// Knobs of the Omega-style shared-state mode (see the header comment).
-/// Every replica of a scheduler name gets one shard of the pending queue
-/// and submits its placements as batched bind transactions.
+/// A replica's place in an Omega-style shared-state fleet (see the header
+/// comment): every replica of a scheduler name drains one shard of the
+/// pending queue.
 struct SharedStateConfig {
   /// This replica's shard of the pending queue (stable pod-name hash mod
   /// shard_count). Must be < shard_count.
   std::uint32_t shard = 0;
   std::uint32_t shard_count = 1;
-  /// Pods pulled — and bind attempts staged — per cycle, between the
-  /// congestion controller's bounds.
-  std::size_t initial_batch = 64;
-  std::size_t min_batch = 8;
-  std::size_t max_batch = 1024;
-  /// Conflict-rate controller: a batch whose conflict_rate() exceeds
-  /// shrink_above halves the next batch; one below grow_below doubles it.
-  double shrink_above = 0.25;
-  double grow_below = 0.05;
-  /// Consecutive shrinking batches before the steal origin rotates (the
-  /// "re-shard" escape hatch when two replicas keep colliding on the same
-  /// stolen shard). 0 disables rotation.
-  int reshard_after = 3;
-  /// Steal from neighbouring shards when this replica's own shard is
-  /// drained. Off means a drained replica idles (strict partitioning).
-  bool work_stealing = true;
 };
 
 /// A scheduler's view of one node during a scheduling cycle: capacities
@@ -127,24 +107,8 @@ class Scheduler {
   /// Runs this replica as one active shard worker of an Omega-style
   /// shared-state fleet.
   void enable_shared_state(SharedStateConfig config);
-  [[nodiscard]] bool shared_state_enabled() const {
-    return shared_.has_value();
-  }
-  [[nodiscard]] const SharedStateConfig& shared_state() const {
-    return *shared_;
-  }
-  /// Current batch capacity chosen by the conflict controller.
-  [[nodiscard]] std::size_t batch_capacity() const { return batch_size_; }
-  /// Bind transactions submitted (cycles that staged at least one bind).
-  [[nodiscard]] std::uint64_t batches() const { return batches_; }
   /// Cycles that drained a neighbour's shard instead of their own.
   [[nodiscard]] std::uint64_t steal_cycles() const { return steal_cycles_; }
-  /// Steal-origin rotations forced by sustained conflicts.
-  [[nodiscard]] std::uint64_t reshards() const { return reshards_; }
-  /// Conflict rate of the most recent submitted batch.
-  [[nodiscard]] double last_conflict_rate() const {
-    return last_conflict_rate_;
-  }
 
   // ---- crash surface (fault injection) --------------------------------------
   /// Crash-stop: the loop halts, as with a real process kill. Work
@@ -214,14 +178,10 @@ class Scheduler {
     std::uint64_t attestation_waits = 0;
     std::uint64_t backoff_skips = 0;
     std::uint64_t degraded_cycles = 0;
-    // Shared-state mode (zeros when disabled).
-    bool shared_state = false;
+    // Shared-state fleet position (a lone scheduler is shard 0 of 1).
     std::uint32_t shard = 0;
-    std::uint32_t shard_count = 0;
-    std::size_t batch_capacity = 0;
-    std::uint64_t batches = 0;
+    std::uint32_t shard_count = 1;
     std::uint64_t steal_cycles = 0;
-    std::uint64_t reshards = 0;
   };
   [[nodiscard]] Health health() const;
 
@@ -258,10 +218,9 @@ class Scheduler {
   void note_bind_failure(const cluster::PodName& pod);
   /// Drops backoff entries of pods that are no longer pending.
   void prune_backoffs();
-  /// One shared-state cycle: pull a shard batch (stealing if dry), plan
-  /// placements against the optimistic view, submit one bind transaction,
-  /// and feed its conflict summary into the congestion controller.
-  std::size_t run_shared_cycle();
+  /// This cycle's pending pods: the own shard, or — in a fleet whose own
+  /// shard is empty — the first non-empty neighbour shard.
+  [[nodiscard]] std::vector<const PodRecord*> pull_pending();
 
   sim::Simulation* sim_;
   ApiServer* api_;
@@ -280,15 +239,8 @@ class Scheduler {
   std::uint64_t bind_conflicts_ = 0;
   std::uint64_t guard_rejections_ = 0;
   std::uint64_t attestation_waits_ = 0;
-  // Shared-state mode.
-  std::optional<SharedStateConfig> shared_;
-  std::size_t batch_size_ = 0;       // current controller-chosen capacity
-  int conflict_streak_ = 0;          // consecutive shrinking batches
-  std::uint32_t steal_rotation_ = 0; // offset of the steal probe order
-  std::uint64_t batches_ = 0;
+  SharedStateConfig fleet_;  // shard 0 of 1 until enable_shared_state
   std::uint64_t steal_cycles_ = 0;
-  std::uint64_t reshards_ = 0;
-  double last_conflict_rate_ = 0.0;
 };
 
 }  // namespace sgxo::orch

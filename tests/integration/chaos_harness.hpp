@@ -38,9 +38,9 @@ struct ScenarioConfig {
   std::size_t min_faults = 1;
   std::size_t max_faults = 6;
   Duration deadline = Duration::hours(24);
-  /// Scheduler replicas. 1 runs the classic single scheduler; more run a
-  /// shared-state fleet: every replica active over its own pending-queue
-  /// shard (Omega-style batched binds, work stealing).
+  /// Scheduler replicas. 1 runs a lone scheduler; more run a shared-state
+  /// fleet: every replica active over its own pending-queue shard
+  /// (Omega-style, work stealing).
   std::size_t scheduler_replicas = 1;
   /// Adds the scheduler-crash fault kind to the random plan's draw
   /// targets. Only meaningful with scheduler_replicas > 1.
@@ -73,10 +73,8 @@ struct ScenarioResult {
   std::uint64_t resyncs = 0;
   std::uint64_t bind_conflicts = 0;    // ApiServer-wide CAS losses
   std::uint64_t guard_rejections = 0;  // kubelet admission-guard saves
-  // Shared-state counters (zero unless scheduler_replicas > 1).
-  std::uint64_t batches = 0;
-  std::uint64_t steal_cycles = 0;
-  std::uint64_t reshards = 0;
+  std::uint64_t fleet_bound = 0;  // pods bound, summed over the replicas
+  std::uint64_t steal_cycles = 0;  // zero unless scheduler_replicas > 1
   // Attestation counters (zero unless config.attestation).
   std::uint64_t attestation_verifications = 0;  // gate quote round-trips
   std::uint64_t attestation_hits = 0;           // fresh-verdict cache hits
@@ -247,9 +245,8 @@ inline ScenarioResult run_scenario(std::uint64_t seed,
   for (core::SgxAwareScheduler* replica : replicas) {
     result.degraded_cycles += replica->degraded_cycles();
     result.backoff_skips += replica->backoff_skips();
-    result.batches += replica->batches();
+    result.fleet_bound += replica->total_bound();
     result.steal_cycles += replica->steal_cycles();
-    result.reshards += replica->reshards();
     result.attestation_waits += replica->attestation_waits();
   }
   if (const orch::AttestationGate* gate = cluster.attestation_gate();

@@ -335,10 +335,9 @@ TEST(ChaosDeterminism, SameSeedProducesBitIdenticalTraces) {
 }
 
 TEST(ChaosDeterminism, SharedStateScenarioWithSameSeedIsBitIdentical) {
-  // Four always-active replicas racing through batched bind transactions
-  // with scheduler crashes in the plan: shard assignment, batch
-  // composition and conflict resolution must all replay exactly under the
-  // same seed.
+  // Four always-active replicas racing through conditional binds with
+  // scheduler crashes in the plan: shard assignment, work stealing and
+  // conflict resolution must all replay exactly under the same seed.
   chaos::ScenarioConfig config;
   config.scheduler_replicas = 4;
   config.ha_faults = true;
@@ -347,9 +346,7 @@ TEST(ChaosDeterminism, SharedStateScenarioWithSameSeedIsBitIdentical) {
   EXPECT_EQ(a.plan, b.plan);
   EXPECT_EQ(a.bind_conflicts, b.bind_conflicts);
   EXPECT_EQ(a.guard_rejections, b.guard_rejections);
-  EXPECT_EQ(a.batches, b.batches);
   EXPECT_EQ(a.steal_cycles, b.steal_cycles);
-  EXPECT_EQ(a.reshards, b.reshards);
   ASSERT_EQ(a.event_log.size(), b.event_log.size());
   for (std::size_t i = 0; i < a.event_log.size(); ++i) {
     ASSERT_EQ(a.event_log[i], b.event_log[i]) << "first divergence at " << i;
@@ -400,7 +397,7 @@ TEST(ChaosSweep, SharedStateSmokeTenSeeds) {
   config.ha_faults = true;
   chaos::sweep(1, 10, config, /*rerun_every_50th=*/false,
                [](std::uint64_t seed, const chaos::ScenarioResult& result) {
-                 EXPECT_GT(result.batches, 0u) << "seed " << seed;
+                 EXPECT_GT(result.fleet_bound, 0u) << "seed " << seed;
                });
 }
 

@@ -123,7 +123,7 @@ TEST_F(DescribeFixture, ControlPlaneReportShowsEachReplica) {
             std::string::npos);
   EXPECT_NE(text.find("degraded_cycles=0"), std::string::npos);
 
-  // Shared-state replicas report their shard and batch counters; a
+  // Shared-state replicas report their shard and steal counter; a
   // crashed replica says so.
   core::SgxSchedulerConfig base;
   base.name = "sgx-fleet";

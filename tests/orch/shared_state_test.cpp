@@ -1,6 +1,7 @@
 // Shared-state (Omega-style) scheduler framework tests: stable shard
-// assignment, shard-filtered limited pulls, work stealing, the
-// conflict-rate congestion controller, and shard validation.
+// assignment, shard-filtered limited pulls, whole-shard cycles, work
+// stealing, per-pod binds that lose cleanly to a rival, and shard
+// validation.
 #include <gtest/gtest.h>
 
 #include <set>
@@ -27,12 +28,26 @@ cluster::MachineSpec machine(const std::string& name,
   return spec;
 }
 
-cluster::PodSpec standard_pod(const std::string& name) {
+cluster::PodSpec standard_pod(const std::string& name,
+                              Bytes memory = 1_GiB) {
   cluster::PodBehavior behavior;
-  behavior.actual_usage = 1_GiB;
+  behavior.actual_usage = memory;
   behavior.duration = Duration::hours(1);
-  return cluster::make_stressor_pod(name, {1_GiB, Pages{0}}, {1_GiB, Pages{0}},
-                                    behavior);
+  return cluster::make_stressor_pod(name, {memory, Pages{0}},
+                                    {memory, Pages{0}}, behavior);
+}
+
+/// The first `count` names "pod-<i>" that hash into `shard` of
+/// `shard_count`, in ascending i.
+std::vector<cluster::PodName> names_in_shard(std::uint32_t shard,
+                                             std::uint32_t shard_count,
+                                             std::size_t count) {
+  std::vector<cluster::PodName> names;
+  for (int i = 0; names.size() < count; ++i) {
+    const std::string name = "pod-" + std::to_string(i);
+    if (shard_of(name, shard_count) == shard) names.push_back(name);
+  }
+  return names;
 }
 
 TEST(ShardOf, IsAPureFunctionOfTheName) {
@@ -110,7 +125,6 @@ TEST_F(SharedStateFixture, SharedStateCycleDrainsOwnShardFirst) {
   config.shard = 0;
   config.shard_count = 2;
   worker.enable_shared_state(config);
-  EXPECT_TRUE(worker.shared_state_enabled());
 
   for (int i = 0; i < 20; ++i) {
     api_.submit(standard_pod("pod-" + std::to_string(i)));
@@ -121,12 +135,10 @@ TEST_F(SharedStateFixture, SharedStateCycleDrainsOwnShardFirst) {
   }
   ASSERT_GT(own_shard, 0u);
 
-  // One cycle binds the whole own shard (the node fits everything), via
-  // exactly one batch transaction, without stealing.
+  // One cycle binds the whole own shard (the node fits everything)
+  // without stealing.
   EXPECT_EQ(worker.run_once(), own_shard);
-  EXPECT_EQ(worker.batches(), 1u);
   EXPECT_EQ(worker.steal_cycles(), 0u);
-  EXPECT_DOUBLE_EQ(worker.last_conflict_rate(), 0.0);
 
   // The next cycle finds shard 0 dry and steals the neighbour's backlog.
   EXPECT_EQ(worker.run_once(), 20u - own_shard);
@@ -134,85 +146,78 @@ TEST_F(SharedStateFixture, SharedStateCycleDrainsOwnShardFirst) {
   EXPECT_TRUE(pending_names(api_, api_.default_scheduler()).empty());
 }
 
-TEST_F(SharedStateFixture, StrictPartitioningIdlesInsteadOfStealing) {
+TEST_F(SharedStateFixture, FleetReplicaBindsItsWholeShardInOneCycle) {
   DefaultScheduler worker{sim_, api_, Duration::seconds(5), "replica-0"};
-  SharedStateConfig config;
-  config.shard = 0;
-  config.shard_count = 2;
-  config.work_stealing = false;
-  worker.enable_shared_state(config);
+  worker.enable_shared_state(SharedStateConfig{0, 2});
 
-  // Pods all landing in shard 1 leave a strict shard-0 worker idle.
-  std::size_t foreign = 0;
-  for (int i = 0; foreign < 5; ++i) {
-    const std::string name = "pod-" + std::to_string(i);
-    if (shard_of(name, 2) == 1) {
-      api_.submit(standard_pod(name));
-      ++foreign;
-    }
+  // 100 pods of the own shard, all fitting node-1: a replica's pull is not
+  // capped, so one cycle places them all.
+  for (const cluster::PodName& name : names_in_shard(0, 2, 100)) {
+    api_.submit(standard_pod(name, 256_MiB));
   }
-  EXPECT_EQ(worker.run_once(), 0u);
+  EXPECT_EQ(worker.run_once(), 100u);
   EXPECT_EQ(worker.steal_cycles(), 0u);
-  EXPECT_EQ(worker.batches(), 0u);
+  EXPECT_TRUE(pending_names(api_, api_.default_scheduler()).empty());
 }
 
-TEST_F(SharedStateFixture, ConflictControllerShrinksRehardsAndRecovers) {
-  DefaultScheduler worker{sim_, api_, Duration::seconds(5), "replica-0"};
-  SharedStateConfig config;
-  config.shard = 0;
-  config.shard_count = 1;
-  config.initial_batch = 32;
-  config.min_batch = 8;
-  config.max_batch = 64;
-  config.reshard_after = 2;
-  worker.enable_shared_state(config);
-  EXPECT_EQ(worker.batch_capacity(), 32u);
+TEST(FleetRace, LostBindLeavesTheNodeToAYoungerPodInTheSameCycle) {
+  // Three SGX workers with EPC for exactly one pod each.
+  constexpr Pages kSlot{512};
+  sim::Simulation sim;
+  ApiServer api{sim};
+  sgx::PerfModel perf;
+  cluster::ImageRegistry registry;
+  cluster::Node sgx1{machine("sgx-1", kSlot)};
+  cluster::Node sgx2{machine("sgx-2", kSlot)};
+  cluster::Node sgx3{machine("sgx-3", kSlot)};
+  cluster::Node master{machine("master", std::nullopt, /*master=*/true)};
+  cluster::Kubelet kubelet1{sim, sgx1, perf, registry, api};
+  cluster::Kubelet kubelet2{sim, sgx2, perf, registry, api};
+  cluster::Kubelet kubelet3{sim, sgx3, perf, registry, api};
+  cluster::Kubelet kubelet_m{sim, master, perf, registry, api};
+  api.register_node(sgx1, kubelet1);
+  api.register_node(sgx2, kubelet2);
+  api.register_node(sgx3, kubelet3);
+  api.register_node(master, kubelet_m);
 
-  // A rival racing the worker mid-transaction: every time the worker's
-  // batch binds a pod, the watch callback immediately binds the next
-  // pending pod out from under the rest of the batch, so half the
-  // worker's entries come back as conflicts.
-  bool rival_active = false;
-  const ApiServer::WatchId rival = api_.watch_pods(
-      [&](const ApiServer::PodUpdate& update) {
-        if (update.phase != cluster::PodPhase::kBound || rival_active) return;
-        rival_active = true;
-        const auto pending = pending_names(api_, api_.default_scheduler());
-        if (!pending.empty()) {
-          (void)api_.try_bind(pending.front(), "node-1",
-                              api_.pod(pending.front()).resource_version);
+  DefaultScheduler worker{sim, api, Duration::seconds(5), "replica-0"};
+  worker.enable_shared_state(SharedStateConfig{0, 2});
+
+  // Oldest to youngest, all in the worker's shard.
+  const std::vector<cluster::PodName> pods = names_in_shard(0, 2, 3);
+  for (const cluster::PodName& name : pods) {
+    cluster::PodBehavior behavior;
+    behavior.sgx = true;
+    behavior.actual_usage = kSlot.as_bytes();
+    behavior.duration = Duration::hours(1);
+    api.submit(cluster::make_stressor_pod(name, {0_B, kSlot}, {0_B, kSlot},
+                                          behavior));
+  }
+
+  // A rival reacting to the worker's first bind takes the second pod and
+  // puts it on sgx-3 — not on sgx-2, where the worker's spread policy is
+  // about to send it.
+  bool fired = false;
+  const ApiServer::WatchId rival =
+      api.watch_pods([&](const ApiServer::PodUpdate& update) {
+        if (fired || update.pod != pods[0] ||
+            update.phase != cluster::PodPhase::kBound) {
+          return;
         }
-        rival_active = false;
+        fired = true;
+        EXPECT_TRUE(
+            api.try_bind(pods[1], "sgx-3", api.pod(pods[1]).resource_version)
+                .bound());
       });
 
-  for (int i = 0; i < 8; ++i) {
-    api_.submit(standard_pod("pod-" + std::to_string(i)));
-  }
-  // Batch of 8: each worker bind lets the rival steal the next pod, so 4
-  // bind and 4 conflict — rate 0.5 > shrink_above → capacity halves.
-  EXPECT_EQ(worker.run_once(), 4u);
-  EXPECT_EQ(worker.bind_conflicts(), 4u);
-  EXPECT_DOUBLE_EQ(worker.last_conflict_rate(), 0.5);
-  EXPECT_EQ(worker.batch_capacity(), 16u);
-  EXPECT_EQ(worker.reshards(), 0u);
-
-  // A second contended batch reaches reshard_after: the steal origin
-  // rotates (a no-op direction with one shard, but the counter records it).
-  for (int i = 8; i < 16; ++i) {
-    api_.submit(standard_pod("pod-" + std::to_string(i)));
-  }
-  EXPECT_EQ(worker.run_once(), 4u);
-  EXPECT_EQ(worker.batch_capacity(), 8u);
-  EXPECT_EQ(worker.reshards(), 1u);
-
-  // With the rival gone a clean batch grows capacity back.
-  api_.unwatch(rival);
-  for (int i = 16; i < 20; ++i) {
-    api_.submit(standard_pod("pod-" + std::to_string(i)));
-  }
-  EXPECT_EQ(worker.run_once(), 4u);
-  EXPECT_DOUBLE_EQ(worker.last_conflict_rate(), 0.0);
-  EXPECT_EQ(worker.batch_capacity(), 16u);
+  // The worker's bind of the second pod loses, so it reserves nothing:
+  // the youngest pod gets sgx-2 in the same cycle.
+  EXPECT_EQ(worker.run_once(), 2u);
+  EXPECT_EQ(worker.bind_conflicts(), 1u);
+  EXPECT_EQ(api.pod(pods[0]).node, "sgx-1");
+  EXPECT_EQ(api.pod(pods[1]).node, "sgx-3");
+  EXPECT_EQ(api.pod(pods[2]).node, "sgx-2");
+  api.unwatch(rival);
 }
 
 TEST_F(SharedStateFixture, RejectsAShardOutsideTheFleet) {
@@ -230,10 +235,14 @@ TEST_F(SharedStateFixture, HealthReportsSharedStateCounters) {
   config.shard_count = 4;
   worker.enable_shared_state(config);
   const Scheduler::Health health = worker.health();
-  EXPECT_TRUE(health.shared_state);
   EXPECT_EQ(health.shard, 1u);
   EXPECT_EQ(health.shard_count, 4u);
-  EXPECT_EQ(health.batch_capacity, config.initial_batch);
+  EXPECT_EQ(health.steal_cycles, 0u);
+
+  // A scheduler that never joined a fleet is shard 0 of 1.
+  const DefaultScheduler lone{sim_, api_, Duration::seconds(5), "lone"};
+  EXPECT_EQ(lone.health().shard, 0u);
+  EXPECT_EQ(lone.health().shard_count, 1u);
 }
 
 }  // namespace
