@@ -4,7 +4,7 @@
 // grows into the thousands — plus the shared-state scaling curve, a model
 // of 1/2/4/8 distributed scheduler replicas (not the in-process
 // orch::Scheduler fleet) draining sharded pending queues of up to ~1M pods
-// over 100k nodes through try_bind_batch transactions. It reports
+// over 100k nodes through per-pod try_bind calls. It reports
 // per-shard cycle latency, aggregate binds/sec (parallel-makespan model:
 // wall clock = the busiest replica's summed cycle time) and the observed
 // conflict rate.
@@ -141,7 +141,7 @@ struct SharedMeasurement {
 
 /// One modeled distributed replica driven against the ApiServer surface:
 /// shard-filtered limited pulls, planning against a periodically refreshed
-/// node snapshot, and batched try_bind_batch transactions.
+/// node snapshot, and one per-pod try_bind for every planned pod.
 /// The snapshot is deliberately allowed to go stale between refreshes —
 /// that is where real multi-scheduler conflicts come from.
 struct BenchReplica {
@@ -219,8 +219,6 @@ SharedMeasurement run_shared_bench(int schedulers, int pods) {
   pull.shard_count = static_cast<std::uint32_t>(schedulers);
   pull.limit = kSharedBatch;
 
-  std::vector<orch::ApiServer::BindRequest> batch;
-  batch.reserve(kSharedBatch);
   bool progress = true;
   for (int round = 0; progress && round < 100000; ++round) {
     progress = false;
@@ -241,7 +239,6 @@ SharedMeasurement run_shared_bench(int schedulers, int pods) {
         replica.force_refresh = false;
       }
 
-      batch.clear();
       for (const orch::PodRecord* record : pending) {
         // Round-robin probe from the replica's cursor against its (stale)
         // snapshot; a full lap without a fit leaves the pod pending.
@@ -252,25 +249,24 @@ SharedMeasurement run_shared_bench(int schedulers, int pods) {
           replica.cursor = (replica.cursor + 1) % replica.free_pages.size();
           if (replica.free_pages[n] >= kPodEpc.count()) {
             replica.free_pages[n] -= kPodEpc.count();
-            batch.push_back({record->spec.name, node_names[n],
-                             record->resource_version});
+            using Status = orch::ApiServer::BindStatus;
+            const orch::ApiServer::BindOutcome outcome = api.try_bind(
+                record->spec.name, node_names[n], record->resource_version);
+            ++m.entries;
+            if (outcome.bound()) {
+              ++m.bound;
+            } else if (outcome == Status::kStaleVersion ||
+                       outcome == Status::kNotPending ||
+                       outcome == Status::kAdmissionRejected) {
+              ++m.conflicts;
+              replica.force_refresh = true;  // the snapshot went stale
+            }
             placed = true;
           }
         }
         if (!placed) {
           replica.force_refresh = true;
           break;  // snapshot exhausted — refresh before planning more
-        }
-      }
-
-      if (!batch.empty()) {
-        const orch::ApiServer::BatchBindResult result =
-            api.try_bind_batch(batch);
-        m.bound += result.bound;
-        m.entries += result.entries.size();
-        m.conflicts += result.conflicts + result.admission_rejections;
-        if (result.conflicts + result.admission_rejections > 0) {
-          replica.force_refresh = true;
         }
       }
 
@@ -282,10 +278,6 @@ SharedMeasurement run_shared_bench(int schedulers, int pods) {
     }
   }
 
-  if (m.bound != static_cast<std::uint64_t>(pods)) {
-    std::cerr << "warning: shared bench bound " << m.bound << " of " << pods
-              << " pods\n";
-  }
   double makespan_us = 0.0;
   for (const BenchReplica& replica : fleet) {
     makespan_us = std::max(makespan_us, replica.busy_us);
@@ -312,7 +304,7 @@ void write_json(const std::vector<Measurement>& results,
         << (i + 1 < results.size() ? "," : "") << "\n";
   }
   out << "  ],\n  \"shared_state_model\": \"distributed replicas driving "
-         "try_bind_batch; makespan_s and binds_per_sec are a parallel-makespan "
+         "per-pod try_bind; makespan_s and binds_per_sec are a parallel-makespan "
          "model (busiest replica's summed cycle time), not a measurement\",\n"
       << "  \"shared_state\": [\n";
   for (std::size_t i = 0; i < shared.size(); ++i) {
@@ -375,8 +367,8 @@ int main() {
          fmt_double(m.conflict_rate(), 4)});
   }
   std::cout << "\nshared-state model: distributed replicas driving "
-               "try_bind_batch (makespan = busiest replica's summed cycle "
-               "time)\n";
+               "per-pod try_bind (makespan = busiest replica's summed "
+               "cycle time)\n";
   shared_table.print(std::cout);
 
   // The acceptance gate for the shared-state path: at the 100k-pod point
@@ -398,5 +390,16 @@ int main() {
 
   write_json(results, shared, "BENCH_scheduler.json");
   std::cout << "\nwrote BENCH_scheduler.json\n";
+
+  // Every modeled replica fleet must drain its whole queue: a pod left
+  // unbound means the bind path lost it.
+  for (const SharedMeasurement& m : shared) {
+    if (m.bound != static_cast<std::uint64_t>(m.pods)) {
+      std::cerr << "error: shared bench with " << m.schedulers
+                << " schedulers bound " << m.bound << " of " << m.pods
+                << " pods\n";
+      return 1;
+    }
+  }
   return 0;
 }

@@ -63,14 +63,9 @@ class Kubelet {
   /// restarted scheduler trusting cached state — is rejected before it
   /// can over-commit the EPC.
   /// Deliberately EPC-only: standard memory over-commit is tolerated at
-  /// admission, exactly as in Kubernetes.
-  ///
-  /// `staged_epc` is EPC already promised to earlier entries of an
-  /// in-flight bind batch targeting this node: batch validation charges
-  /// them before anything is applied, so one transaction cannot admit two
-  /// pods into the same last pages.
-  [[nodiscard]] bool can_admit(const PodSpec& spec,
-                               Pages staged_epc = Pages{0}) const;
+  /// admission, exactly as in Kubernetes. ApiServer::try_bind calls it
+  /// right before handing the pod over, so nothing runs in between.
+  [[nodiscard]] bool can_admit(const PodSpec& spec) const;
 
   // ---- attestation at bind delivery ----------------------------------------
   /// Node-local re-verification policy, mirroring the EPC admission guard:

@@ -350,162 +350,59 @@ void ApiServer::apply_bind(PodRecord& record, const NodeEntry& entry) {
   bump_version(record);
   node_insert(record);
   record_event(pod, "Scheduled to " + record.node);
-  notify_watchers(pod, cluster::PodPhase::kBound);
+  // The kubelet charges the EPC before any watcher runs: a callback that
+  // binds a rival onto the same node then meets the admission guard
+  // instead of leaving this pod to fail at device allocation.
   entry.kubelet->admit_pod(record.spec);
-}
-
-ApiServer::BatchBindResult ApiServer::try_bind_batch(
-    const std::vector<BindRequest>& batch) {
-  BatchBindResult result;
-  result.entries.resize(batch.size());
-
-  // Phase 1 — validate, mutating nothing. EPC admission is charged
-  // cumulatively per target node (`staged`), and every pod already staged
-  // by an earlier entry conflicts with later duplicates, so one
-  // transaction can neither double-place a pod nor admit two pods into
-  // the same last pages.
-  std::vector<bool> valid(batch.size(), false);
-  std::map<cluster::NodeName, Pages> staged;
-  std::set<cluster::PodName> staged_pods;
-  for (std::size_t i = 0; i < batch.size(); ++i) {
-    const BindRequest& request = batch[i];
-    BindOutcome& outcome = result.entries[i];
-    const PodRecord& record = pod(request.pod);
-    outcome.resource_version = record.resource_version;
-    if (record.phase != cluster::PodPhase::kPending ||
-        staged_pods.count(request.pod) > 0) {
-      outcome.status = BindStatus::kNotPending;
-      ++bind_conflicts_;
-      ++result.conflicts;
-      continue;
-    }
-    if (record.resource_version != request.expected_version) {
-      outcome.status = BindStatus::kStaleVersion;
-      ++bind_conflicts_;
-      ++result.conflicts;
-      continue;
-    }
-    const NodeEntry* entry = find_node(request.node);
-    if (entry == nullptr || !entry->node->schedulable()) {
-      outcome.status = BindStatus::kNodeUnavailable;
-      ++result.unavailable;
-      continue;
-    }
-    // Attestation gate (when enabled): binds to SGX nodes need a fresh
-    // accepted quote verdict. A miss kicks off one (coalesced)
-    // verification and parks the entry kAttestationPending; a cached
-    // definitive rejection refuses it. Neither counts as contention.
-    if (attestation_ != nullptr && entry->node->has_sgx()) {
-      const AttestationGate::Check check =
-          attestation_->check_bind(request.node, record.spec.wants_sgx());
-      if (check == AttestationGate::Check::kPending) {
-        outcome.status = BindStatus::kAttestationPending;
-        ++attestation_pending_;
-        ++result.attestation_pending;
-        continue;
-      }
-      if (check == AttestationGate::Check::kRejected) {
-        outcome.status = BindStatus::kAttestationRejected;
-        ++attestation_rejections_;
-        ++result.attestation_rejections;
-        record_event(request.pod,
-                     "BindRejected: attestation verdict on " + request.node);
-        continue;
-      }
-    }
-    // Kubelet admission guard: re-check the declared EPC against the
-    // node's *live* device commitments plus this batch's staged pages. A
-    // scheduler whose view of the node predates another scheduler's binds
-    // passes the CAS above — the pod itself is unchanged — but must not
-    // be allowed to over-commit the EPC it promised never to over-commit.
-    const Pages staged_here = staged[request.node];
-    if (!entry->kubelet->can_admit(record.spec, staged_here)) {
-      outcome.status = BindStatus::kAdmissionRejected;
-      ++guard_rejections_;
-      ++result.admission_rejections;
-      record_event(request.pod,
-                   "BindRejected: EPC admission guard on " + request.node);
-      continue;
-    }
-    valid[i] = true;
-    outcome.status = BindStatus::kBound;  // tentative until applied
-    staged[request.node] =
-        staged_here + record.spec.total_requests().epc_pages;
-    staged_pods.insert(request.pod);
-  }
-
-  // Phase 2 — apply in batch order. A watch callback fired by an earlier
-  // apply may mutate a later entry's pod or node mid-batch; the re-checks
-  // turn such entries into clean rejections instead of trusting the stale
-  // validation.
-  for (std::size_t i = 0; i < batch.size(); ++i) {
-    if (!valid[i]) continue;
-    const BindRequest& request = batch[i];
-    BindOutcome& outcome = result.entries[i];
-    PodRecord& record = mutable_pod(request.pod);
-    if (record.phase != cluster::PodPhase::kPending) {
-      outcome.status = BindStatus::kNotPending;
-      outcome.resource_version = record.resource_version;
-      ++bind_conflicts_;
-      ++result.conflicts;
-      continue;
-    }
-    if (record.resource_version != request.expected_version) {
-      outcome.status = BindStatus::kStaleVersion;
-      outcome.resource_version = record.resource_version;
-      ++bind_conflicts_;
-      ++result.conflicts;
-      continue;
-    }
-    const NodeEntry* entry = find_node(request.node);
-    if (entry == nullptr || !entry->node->schedulable()) {
-      outcome.status = BindStatus::kNodeUnavailable;
-      ++result.unavailable;
-      continue;
-    }
-    // Attestation re-check (pure peek — no counters, no new requests): a
-    // verdict can lapse between validation and apply when a watch
-    // callback advanced virtual state mid-batch.
-    if (attestation_ != nullptr && entry->node->has_sgx()) {
-      const AttestationGate::Check check =
-          attestation_->peek(request.node, record.spec.wants_sgx());
-      if (check == AttestationGate::Check::kPending) {
-        outcome.status = BindStatus::kAttestationPending;
-        ++attestation_pending_;
-        ++result.attestation_pending;
-        continue;
-      }
-      if (check == AttestationGate::Check::kRejected) {
-        outcome.status = BindStatus::kAttestationRejected;
-        ++attestation_rejections_;
-        ++result.attestation_rejections;
-        continue;
-      }
-    }
-    // Admission re-check: a watch callback may have bound another pod
-    // onto this node since validation. The entries applied before this
-    // one are live commitments by now, so nothing staged is added.
-    if (!entry->kubelet->can_admit(record.spec, Pages{0})) {
-      outcome.status = BindStatus::kAdmissionRejected;
-      outcome.resource_version = record.resource_version;
-      ++guard_rejections_;
-      ++result.admission_rejections;
-      record_event(request.pod,
-                   "BindRejected: EPC admission guard on " + request.node);
-      continue;
-    }
-    apply_bind(record, *entry);
-    outcome.resource_version = record.resource_version;
-    ++result.bound;
-  }
-  return result;
+  notify_watchers(pod, cluster::PodPhase::kBound);
 }
 
 ApiServer::BindOutcome ApiServer::try_bind(const cluster::PodName& pod,
                                            const cluster::NodeName& node,
                                            std::uint64_t expected_version) {
-  return try_bind_batch({BindRequest{pod, node, expected_version}})
-      .entries.front();
+  PodRecord& record = mutable_pod(pod);
+  const std::uint64_t observed = record.resource_version;
+  if (record.phase != cluster::PodPhase::kPending) {
+    ++bind_conflicts_;
+    return {BindStatus::kNotPending, observed};
+  }
+  if (observed != expected_version) {
+    ++bind_conflicts_;
+    return {BindStatus::kStaleVersion, observed};
+  }
+  const NodeEntry* entry = find_node(node);
+  if (entry == nullptr || !entry->node->schedulable()) {
+    return {BindStatus::kNodeUnavailable, observed};
+  }
+  // Attestation gate (when enabled): binds to SGX nodes need a fresh
+  // accepted quote verdict. A miss kicks off one (coalesced) verification
+  // and parks the bind kAttestationPending; a cached definitive rejection
+  // refuses it. Neither counts as contention.
+  if (attestation_ != nullptr && entry->node->has_sgx()) {
+    const AttestationGate::Check check =
+        attestation_->check_bind(node, record.spec.wants_sgx());
+    if (check == AttestationGate::Check::kPending) {
+      ++attestation_pending_;
+      return {BindStatus::kAttestationPending, observed};
+    }
+    if (check == AttestationGate::Check::kRejected) {
+      ++attestation_rejections_;
+      record_event(pod, "BindRejected: attestation verdict on " + node);
+      return {BindStatus::kAttestationRejected, observed};
+    }
+  }
+  // Kubelet admission guard: re-check the declared EPC against the node's
+  // *live* device commitments. A scheduler whose view of the node predates
+  // another scheduler's binds passes the CAS above — the pod itself is
+  // unchanged — but must not be allowed to over-commit the EPC it promised
+  // never to over-commit.
+  if (!entry->kubelet->can_admit(record.spec)) {
+    ++guard_rejections_;
+    record_event(pod, "BindRejected: EPC admission guard on " + node);
+    return {BindStatus::kAdmissionRejected, observed};
+  }
+  apply_bind(record, *entry);
+  return {BindStatus::kBound, record.resource_version};
 }
 
 void ApiServer::evict(const cluster::PodName& pod,

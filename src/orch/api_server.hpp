@@ -13,12 +13,11 @@
 // admission are therefore O(result), not O(pods): the scheduler hot loop
 // never scans the store.
 //
-// Write path: conditional binds are the only scheduling writes. try_bind
-// CASes one pod; try_bind_batch validates a whole transaction of
-// (pod, node, version) entries — charging EPC admission cumulatively per
-// node — and applies the valid entries. N active schedulers racing
+// Write path: the conditional bind try_bind is the only scheduling write.
+// It CASes one pod against its resource_version and re-checks the node's
+// live EPC commitments before committing. N active schedulers racing
 // optimistically over sharded pending queues (Omega-style shared state)
-// are safe by construction: a loser gets a clean per-entry conflict, never
+// are safe by construction: a loser gets a clean per-pod conflict, never
 // a double placement or an EPC over-commit.
 #pragma once
 
@@ -184,8 +183,7 @@ class ApiServer final : public cluster::PodLifecycleListener {
   enum class BindStatus {
     kBound,
     /// expected_version no longer matches — the pod changed since the
-    /// caller's snapshot (evicted+requeued, resubmitted, or bound and
-    /// re-bound by an earlier entry of the same batch).
+    /// caller's snapshot (evicted+requeued or resubmitted).
     kStaleVersion,
     /// The pod is not pending (already bound by another scheduler, or
     /// terminal).
@@ -193,9 +191,9 @@ class ApiServer final : public cluster::PodLifecycleListener {
     /// Unknown or unschedulable (master / failed) target node.
     kNodeUnavailable,
     /// The node's kubelet admission guard rejected the delivery: the
-    /// declared EPC no longer fits the node's live commitments (plus any
-    /// pages staged by earlier entries of the same batch). The last line
-    /// of defence against over-commitment by a scheduler with a stale view.
+    /// declared EPC no longer fits the node's live commitments. The last
+    /// line of defence against over-commitment by a scheduler with a stale
+    /// view.
     kAdmissionRejected,
     /// Attestation gate enabled and the target node has no fresh accepted
     /// verdict: a verification round-trip is in flight (or just
@@ -222,65 +220,15 @@ class ApiServer final : public cluster::PodLifecycleListener {
     }
   };
 
-  /// One entry of a bind transaction.
-  struct BindRequest {
-    cluster::PodName pod;
-    cluster::NodeName node;
-    std::uint64_t expected_version = 0;
-  };
-
-  /// Result of a bind transaction: per-entry outcomes (parallel to the
-  /// request vector) plus a conflict summary.
-  struct BatchBindResult {
-    std::vector<BindOutcome> entries;
-    std::size_t bound = 0;
-    /// kStaleVersion + kNotPending entries: another scheduler (or an
-    /// earlier entry of this batch) got there first.
-    std::size_t conflicts = 0;
-    /// kAdmissionRejected entries (stale node view caught by the guard).
-    std::size_t admission_rejections = 0;
-    /// kNodeUnavailable entries.
-    std::size_t unavailable = 0;
-    /// kAttestationPending entries (verification in flight for the node).
-    std::size_t attestation_pending = 0;
-    /// kAttestationRejected entries (cached definitive rejection).
-    std::size_t attestation_rejections = 0;
-
-    /// Contended fraction of the batch — conflicts and guard rejections
-    /// over attempts (0 for an empty batch). Node deaths are excluded:
-    /// they are faults, not contention.
-    [[nodiscard]] double conflict_rate() const {
-      if (entries.empty()) return 0.0;
-      return static_cast<double>(conflicts + admission_rejections) /
-             static_cast<double>(entries.size());
-    }
-  };
-
   /// Conditional (compare-and-swap) bind: succeeds only if the pod is
   /// still pending, its resource_version equals `expected_version`, the
   /// node is schedulable, and the node's kubelet admits the declared
   /// resources against its live commitments. On success the pod is bound
-  /// and handed to the Kubelet; on any other outcome nothing changes.
-  /// Equivalent to a one-entry try_bind_batch.
+  /// and handed to the Kubelet before watchers hear of it; on any other
+  /// outcome nothing changes.
   BindOutcome try_bind(const cluster::PodName& pod,
                        const cluster::NodeName& node,
                        std::uint64_t expected_version);
-
-  /// Transactional batch bind; try_bind is its one-entry case. Two
-  /// phases:
-  ///   1. *Validate* every (pod, node, expected_version) entry against
-  ///      live state: the CAS checks of try_bind plus EPC admission
-  ///      charged cumulatively per node, so two entries of one batch can
-  ///      never share the same last pages. Nothing mutates.
-  ///   2. *Apply* the valid entries in batch order; each entry is
-  ///      individually all-or-nothing, and invalid entries leave their pod
-  ///      untouched.
-  /// A watch callback fired mid-apply can invalidate a later entry; the
-  /// apply re-checks pod, node, attestation and EPC admission, and turns
-  /// such entries into a clean rejection instead of double-placing or
-  /// over-committing. Entry order is caller order — batch
-  /// construction must itself be deterministic for seed-stable runs.
-  BatchBindResult try_bind_batch(const std::vector<BindRequest>& batch);
 
   /// try_bind rejections due to a stale version or a no-longer-pending
   /// pod (two schedulers racing for the same pod).
@@ -391,8 +339,8 @@ class ApiServer final : public cluster::PodLifecycleListener {
   /// Marks a mutation for optimistic concurrency: every phase transition
   /// or reassignment bumps the record's version.
   static void bump_version(PodRecord& record) { ++record.resource_version; }
-  /// Phase-2 commit of one validated bind entry: dequeues, binds, hands
-  /// the pod to the kubelet and fires watchers.
+  /// Commit of a validated try_bind: dequeues, binds, hands the pod to the
+  /// kubelet, then fires watchers.
   void apply_bind(PodRecord& record, const NodeEntry& entry);
   void record_event(const cluster::PodName& pod, std::string message);
   void notify_watchers(const cluster::PodName& pod,

@@ -181,5 +181,33 @@ TEST_F(ConditionalBindFixture, OutcomeCarriesTheObservedVersion) {
   EXPECT_GT(won.resource_version, v0);
 }
 
+TEST_F(ConditionalBindFixture, WatcherBindingARivalMeetsTheAdmissionGuard) {
+  // Each pod fits alone (600 of 1000 pages). Binding a fires a watch
+  // callback that binds a rival onto the same node: the kubelet must
+  // already hold a's pages by then, so the guard refuses the rival and
+  // a's reported kBound stands.
+  api_.submit(sgx_pod("a", Pages{600}));
+  api_.submit(sgx_pod("rival", Pages{600}));
+  std::optional<ApiServer::BindOutcome> rival;
+  const ApiServer::WatchId watch =
+      api_.watch_pods([&](const ApiServer::PodUpdate& update) {
+        if (rival.has_value() || update.pod != "a" ||
+            update.phase != cluster::PodPhase::kBound) {
+          return;
+        }
+        rival = api_.try_bind("rival", "sgx-1", version("rival"));
+      });
+  EXPECT_EQ(api_.try_bind("a", "sgx-1", version("a")),
+            ApiServer::BindStatus::kBound);
+  api_.unwatch(watch);
+  ASSERT_TRUE(rival.has_value());
+  EXPECT_EQ(*rival, ApiServer::BindStatus::kAdmissionRejected);
+  EXPECT_EQ(api_.guard_rejections(), 1u);
+  EXPECT_EQ(api_.pod("rival").phase, cluster::PodPhase::kPending);
+  EXPECT_EQ(api_.pod("a").phase, cluster::PodPhase::kBound);
+  EXPECT_TRUE(api_.pod("a").failure_reason.empty());
+  EXPECT_EQ(kubelet_sgx_.active_pod_count(), 1u);
+}
+
 }  // namespace
 }  // namespace sgxo::orch
