@@ -91,4 +91,9 @@ enum class PodPhase {
 
 [[nodiscard]] const char* to_string(PodPhase phase);
 
+/// Succeeded or Failed: phases a pod never leaves.
+[[nodiscard]] constexpr bool is_terminal(PodPhase phase) {
+  return phase == PodPhase::kSucceeded || phase == PodPhase::kFailed;
+}
+
 }  // namespace sgxo::cluster

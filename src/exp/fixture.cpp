@@ -4,6 +4,7 @@
 
 #include "common/error.hpp"
 #include "common/hash.hpp"
+#include "exp/completion.hpp"
 
 namespace sgxo::exp {
 
@@ -342,17 +343,10 @@ bool SimulatedCluster::run_until_quiescent(std::size_t expected_pods,
   const TimePoint limit = sim_.now() + deadline;
   const Duration check = Duration::seconds(30);
 
-  const auto all_terminal = [this] {
-    for (const orch::PodRecord* record : api_->all_pods()) {
-      if (record->phase != cluster::PodPhase::kSucceeded &&
-          record->phase != cluster::PodPhase::kFailed) {
-        return false;
-      }
-    }
-    return true;
-  };
+  const TerminalPodCounter terminal{*api_};
   const auto quiescent = [&] {
-    return api_->pod_count() >= expected_pods && all_terminal();
+    return api_->pod_count() >= expected_pods &&
+           terminal.count() == api_->pod_count();
   };
 
   while (sim_.now() < limit) {

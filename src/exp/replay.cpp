@@ -6,6 +6,7 @@
 
 #include "common/error.hpp"
 #include "core/migration_controller.hpp"
+#include "exp/completion.hpp"
 #include "trace/replayer.hpp"
 #include "trace/sgx_mix.hpp"
 #include "workload/malicious.hpp"
@@ -173,16 +174,10 @@ ReplayResult run_replay(const ReplayOptions& options) {
     return names;
   }();
 
+  // Squatters are not trace pods: they may outlive the replay.
+  const TerminalPodCounter terminal{cluster.api(), &trace_pods};
   const auto trace_done = [&] {
-    std::size_t terminal = 0;
-    for (const orch::PodRecord* record : cluster.api().all_pods()) {
-      if (trace_pods.find(record->spec.name) == trace_pods.end()) continue;
-      if (record->phase == cluster::PodPhase::kSucceeded ||
-          record->phase == cluster::PodPhase::kFailed) {
-        ++terminal;
-      }
-    }
-    return terminal == trace_pods.size();
+    return terminal.count() == trace_pods.size();
   };
 
   const TimePoint limit = cluster.sim().now() + options.deadline;

@@ -20,11 +20,6 @@ std::optional<Duration> PodRecord::turnaround_time() const {
 
 namespace {
 
-bool terminal(cluster::PodPhase phase) {
-  return phase == cluster::PodPhase::kSucceeded ||
-         phase == cluster::PodPhase::kFailed;
-}
-
 bool assigned(cluster::PodPhase phase) {
   return phase == cluster::PodPhase::kBound ||
          phase == cluster::PodPhase::kRunning;
@@ -203,7 +198,7 @@ void ApiServer::submit(cluster::PodSpec spec) {
   const cluster::PodName name = record.spec.name;
   const PodRecord& stored =
       pods_.emplace(name, std::move(record)).first->second;
-  submission_order_.push_back(name);
+  submission_order_.push_back(&stored);
   pending_insert(stored);
   usage_add(stored);
   record_event(name, "Submitted");
@@ -333,10 +328,9 @@ std::vector<const PodRecord*> ApiServer::list_pods(
   out.reserve(filter.limit > 0
                   ? std::min(filter.limit, submission_order_.size())
                   : submission_order_.size());
-  for (const cluster::PodName& name : submission_order_) {
+  for (const PodRecord* record : submission_order_) {
     if (filter.limit > 0 && out.size() == filter.limit) break;
-    const PodRecord& record = pods_.at(name);
-    if (matches(record)) out.push_back(&record);
+    if (matches(*record)) out.push_back(record);
   }
   return out;
 }
@@ -596,10 +590,12 @@ void ApiServer::on_pod_succeeded(const cluster::PodName& pod) {
 void ApiServer::on_pod_failed(const cluster::PodName& pod,
                               const std::string& reason) {
   PodRecord& record = mutable_pod(pod);
-  if (!terminal(record.phase)) {
-    unindex(record);
-    usage_remove(record);
-  }
+  // A termination is recorded once: a repeated report on a terminal pod
+  // changes nothing and notifies nobody, so every pod produces exactly one
+  // terminal watch notification.
+  if (cluster::is_terminal(record.phase)) return;
+  unindex(record);
+  usage_remove(record);
   record.phase = cluster::PodPhase::kFailed;
   record.finished = sim_->now();
   record.failure_reason = reason;

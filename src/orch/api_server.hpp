@@ -311,7 +311,8 @@ class ApiServer final : public cluster::PodLifecycleListener {
   using WatchId = std::uint64_t;
 
   /// Subscribes to every pod phase transition (including submission →
-  /// Pending). Returns a handle for unwatch().
+  /// Pending). Terminal phases are absorbing, so each pod is reported
+  /// Succeeded or Failed exactly once. Returns a handle for unwatch().
   WatchId watch_pods(WatchCallback callback);
   void unwatch(WatchId id);
   [[nodiscard]] std::size_t watch_count() const;
@@ -319,6 +320,8 @@ class ApiServer final : public cluster::PodLifecycleListener {
   // ---- PodLifecycleListener (called by Kubelets) ---------------------------
   void on_pod_running(const cluster::PodName& pod) override;
   void on_pod_succeeded(const cluster::PodName& pod) override;
+  /// A report on an already-terminal pod is ignored: the first
+  /// termination's phase, timestamp and reason stand.
   void on_pod_failed(const cluster::PodName& pod,
                      const std::string& reason) override;
 
@@ -372,7 +375,9 @@ class ApiServer final : public cluster::PodLifecycleListener {
   /// scale (nodes_ is append-only, so indexes never dangle).
   std::map<cluster::NodeName, std::size_t> node_index_;
   std::map<cluster::PodName, PodRecord> pods_;
-  std::vector<cluster::PodName> submission_order_;
+  /// Every record in submission order. Map nodes are stable and pods are
+  /// never erased, so the full-store scan walks pointers, not names.
+  std::vector<const PodRecord*> submission_order_;
   std::uint64_t next_seq_ = 0;
 
   // Secondary indexes. Pending queues are bucketed by the *declared*

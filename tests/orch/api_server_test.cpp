@@ -232,5 +232,34 @@ TEST_F(ApiServerFixture, FailureRecordsReason) {
   EXPECT_FALSE(record.waiting_time().has_value());
 }
 
+TEST_F(ApiServerFixture, TerminalReportIsRecordedOnce) {
+  std::vector<cluster::PodPhase> terminal_updates;
+  const ApiServer::WatchId watch =
+      api_.watch_pods([&](const ApiServer::PodUpdate& update) {
+        if (cluster::is_terminal(update.phase)) {
+          terminal_updates.push_back(update.phase);
+        }
+      });
+  api_.submit(pod("p1"));
+  bind_now("p1", "node-a");
+  sim_.run();
+  const PodRecord& record = api_.pod("p1");
+  ASSERT_EQ(record.phase, cluster::PodPhase::kSucceeded);
+  const std::optional<TimePoint> finished = record.finished;
+  const std::uint64_t version = record.resource_version;
+
+  // A late failure report (e.g. a kubelet re-reporting) changes nothing:
+  // the pod succeeded, at the time it succeeded.
+  sim_.run_until(sim_.now() + Duration::minutes(5));
+  api_.on_pod_failed("p1", "LateReport");
+  EXPECT_EQ(record.phase, cluster::PodPhase::kSucceeded);
+  EXPECT_EQ(record.finished, finished);
+  EXPECT_TRUE(record.failure_reason.empty());
+  EXPECT_EQ(record.resource_version, version);
+  EXPECT_EQ(terminal_updates,
+            std::vector<cluster::PodPhase>{cluster::PodPhase::kSucceeded});
+  api_.unwatch(watch);
+}
+
 }  // namespace
 }  // namespace sgxo::orch

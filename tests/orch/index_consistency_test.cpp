@@ -222,11 +222,22 @@ TEST_F(IndexConsistencyFixture, RandomizedLifecycleAgreesWithFullScan) {
       }
     } else if (roll < 0.78) {
       // on_pod_failed carries no phase precondition: re-reporting failure
-      // on an already-failed pod must not double-release the usage
-      // accumulator (the terminal guard).
-      const auto failed = pods_in_phase(cluster::PodPhase::kFailed);
-      if (!failed.empty()) {
-        api_.on_pod_failed(failed.front(), "RepeatedReport");
+      // on an already-terminal pod must not double-release the usage
+      // accumulator, and must leave the first termination's record as it
+      // was (the terminal guard).
+      for (const cluster::PodPhase phase :
+           {cluster::PodPhase::kFailed, cluster::PodPhase::kSucceeded}) {
+        const auto terminal = pods_in_phase(phase);
+        if (terminal.empty()) continue;
+        const PodRecord before = api_.pod(terminal.front());
+        const std::size_t events = api_.events().size();
+        api_.on_pod_failed(terminal.front(), "RepeatedReport");
+        const PodRecord& after = api_.pod(terminal.front());
+        EXPECT_EQ(after.phase, before.phase);
+        EXPECT_EQ(after.finished, before.finished);
+        EXPECT_EQ(after.failure_reason, before.failure_reason);
+        EXPECT_EQ(after.resource_version, before.resource_version);
+        EXPECT_EQ(api_.events().size(), events);
       }
     } else {
       // Let the cluster make progress: pods start, run and complete.
