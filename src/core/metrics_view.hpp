@@ -66,7 +66,8 @@ class ClusterMetrics {
   [[nodiscard]] std::optional<Duration> staleness(TimePoint now) const;
 
   /// Telemetry of the most recent query this view executed: how many TSDB
-  /// shards and series the fan-out touched, how many points (or rollup
+  /// shards and series the fan-out visited (a series whose newest point
+  /// predates the window is skipped unvisited), how many points (or rollup
   /// buckets) it folded, and which rollup level served it (0 = raw).
   struct QueryDiagnostics {
     std::size_t shards_scanned = 0;

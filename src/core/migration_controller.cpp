@@ -29,17 +29,17 @@ void MigrationController::stop() {
 }
 
 std::optional<MigrationController::Plan> MigrationController::plan_for(
-    const cluster::PodSpec& blocked,
+    const orch::PodRecord& blocked,
     const std::vector<orch::NodeView>& views) const {
-  const Pages needed = blocked.total_requests().epc_pages;
+  const Pages needed = blocked.requests.epc_pages;
+  const cluster::NodeName& selector = blocked.spec.node_selector;
 
   std::optional<Plan> best;
   Pages best_victim_pages{UINT64_MAX};
 
   for (const orch::NodeView& source : views) {
     if (!source.sgx_capable) continue;
-    if (!blocked.node_selector.empty() &&
-        blocked.node_selector != source.name) {
+    if (!selector.empty() && selector != source.name) {
       continue;  // the blocked pod can only ever land on its selected node
     }
     const Pages source_free = source.epc_capacity >= source.epc_requested
@@ -57,10 +57,10 @@ std::optional<MigrationController::Plan> MigrationController::plan_for(
     running_here.node = source.name;
     for (const orch::PodRecord* record : api_->list_pods(running_here)) {
       const cluster::PodName& victim = record->spec.name;
-      if (!record->spec.wants_sgx()) continue;
+      if (!record->wants_sgx) continue;
       if (!record->spec.node_selector.empty()) continue;  // pinned pods stay
       if (!source_entry->kubelet->pod_migratable(victim)) continue;
-      const Pages victim_pages = record->spec.total_requests().epc_pages;
+      const Pages victim_pages = record->requests.epc_pages;
       if (victim_pages < deficit) continue;       // would not free enough
       if (victim_pages >= best_victim_pages) continue;  // bigger than best
 
@@ -86,28 +86,25 @@ std::size_t MigrationController::run_once() {
   const std::vector<orch::NodeView> views =
       orch::request_based_views(*api_);
 
-  cluster::PodName blocked_name;
+  const orch::PodRecord* blocked = nullptr;
   orch::PodFilter pending;
   pending.phase = cluster::PodPhase::kPending;
   pending.scheduler = api_->default_scheduler();
   for (const orch::PodRecord* record : api_->list_pods(pending)) {
-    const cluster::PodName& name = record->spec.name;
-    const cluster::PodSpec& spec = record->spec;
-    if (!spec.wants_sgx()) continue;
+    if (!record->wants_sgx) continue;
     const bool fits_somewhere =
         std::any_of(views.begin(), views.end(),
                     [&](const orch::NodeView& view) {
-                      return orch::fits(spec, view);
+                      return orch::fits(*record, view);
                     });
     if (!fits_somewhere) {
-      blocked_name = name;
+      blocked = record;
       break;  // FCFS: only the oldest blocked pod triggers migration
     }
   }
-  if (blocked_name.empty()) return 0;
+  if (blocked == nullptr) return 0;
 
-  const std::optional<Plan> plan =
-      plan_for(api_->pod(blocked_name).spec, views);
+  const std::optional<Plan> plan = plan_for(*blocked, views);
   if (!plan.has_value()) return 0;
 
   api_->migrate(plan->victim, plan->to, service_);

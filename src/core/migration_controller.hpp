@@ -50,7 +50,7 @@ class MigrationController {
 
   /// Finds a single migration that makes `blocked` schedulable, if any.
   [[nodiscard]] std::optional<Plan> plan_for(
-      const cluster::PodSpec& blocked,
+      const orch::PodRecord& blocked,
       const std::vector<orch::NodeView>& views) const;
 
   sim::Simulation* sim_;

@@ -30,8 +30,8 @@ bool binpack_before(const orch::NodeView& a, const orch::NodeView& b,
 /// For standard jobs: drop SGX nodes from the candidate set when at least
 /// one non-SGX node is feasible (both policies preserve EPC this way).
 std::vector<orch::NodeView> preferred_candidates(
-    const cluster::PodSpec& pod, const std::vector<orch::NodeView>& feasible) {
-  if (pod.wants_sgx()) return feasible;
+    const orch::PodRecord& pod, const std::vector<orch::NodeView>& feasible) {
+  if (pod.wants_sgx) return feasible;
   std::vector<orch::NodeView> non_sgx;
   std::copy_if(feasible.begin(), feasible.end(), std::back_inserter(non_sgx),
                [](const orch::NodeView& v) { return !v.sgx_capable; });
@@ -47,11 +47,11 @@ double load_of(const orch::NodeView& view, bool sgx_job) {
 /// Standard deviation of load across the relevant nodes if `pod` were
 /// placed on `candidate`. For SGX jobs only SGX-capable nodes carry the
 /// balanced resource; for standard jobs every schedulable node does.
-double stddev_after_placement(const cluster::PodSpec& pod,
+double stddev_after_placement(const orch::PodRecord& pod,
                               const cluster::NodeName& candidate,
                               const std::vector<orch::NodeView>& all) {
-  const bool sgx_job = pod.wants_sgx();
-  const cluster::ResourceAmounts request = pod.total_requests();
+  const bool sgx_job = pod.wants_sgx;
+  const cluster::ResourceAmounts& request = pod.requests;
   std::vector<double> loads;
   loads.reserve(all.size());
   for (const orch::NodeView& view : all) {
@@ -69,9 +69,9 @@ double stddev_after_placement(const cluster::PodSpec& pod,
 }  // namespace
 
 std::optional<cluster::NodeName> binpack_select(
-    const cluster::PodSpec& pod, const std::vector<orch::NodeView>& feasible) {
+    const orch::PodRecord& pod, const std::vector<orch::NodeView>& feasible) {
   if (feasible.empty()) return std::nullopt;
-  const bool standard_job = !pod.wants_sgx();
+  const bool standard_job = !pod.wants_sgx;
   const auto first = std::min_element(
       feasible.begin(), feasible.end(),
       [&](const orch::NodeView& a, const orch::NodeView& b) {
@@ -81,7 +81,7 @@ std::optional<cluster::NodeName> binpack_select(
 }
 
 std::optional<cluster::NodeName> spread_select(
-    const cluster::PodSpec& pod, const std::vector<orch::NodeView>& feasible,
+    const orch::PodRecord& pod, const std::vector<orch::NodeView>& feasible,
     const std::vector<orch::NodeView>& all) {
   const std::vector<orch::NodeView> candidates =
       preferred_candidates(pod, feasible);

@@ -26,12 +26,12 @@ enum class PlacementPolicy { kBinpack, kSpread };
 
 /// binpack choice among feasible nodes (all must pass orch::fits).
 [[nodiscard]] std::optional<cluster::NodeName> binpack_select(
-    const cluster::PodSpec& pod, const std::vector<orch::NodeView>& feasible);
+    const orch::PodRecord& pod, const std::vector<orch::NodeView>& feasible);
 
 /// spread choice: needs the cluster-wide view to evaluate the load
 /// standard deviation each candidate placement would produce.
 [[nodiscard]] std::optional<cluster::NodeName> spread_select(
-    const cluster::PodSpec& pod, const std::vector<orch::NodeView>& feasible,
+    const orch::PodRecord& pod, const std::vector<orch::NodeView>& feasible,
     const std::vector<orch::NodeView>& all);
 
 }  // namespace sgxo::core

@@ -84,7 +84,7 @@ std::vector<orch::NodeView> SgxAwareScheduler::collect_views() {
       if (measured_pods.find(record->spec.name) != measured_pods.end()) {
         continue;
       }
-      const cluster::ResourceAmounts request = record->spec.total_requests();
+      const cluster::ResourceAmounts& request = record->requests;
       memory_used += request.memory;
       epc_used += request.epc_pages;
     }
@@ -98,7 +98,7 @@ std::vector<orch::NodeView> SgxAwareScheduler::collect_views() {
 }
 
 std::optional<cluster::NodeName> SgxAwareScheduler::select_node(
-    const cluster::PodSpec& pod, const std::vector<orch::NodeView>& feasible,
+    const orch::PodRecord& pod, const std::vector<orch::NodeView>& feasible,
     const std::vector<orch::NodeView>& all) {
   switch (config_.policy) {
     case PlacementPolicy::kBinpack:
@@ -110,9 +110,9 @@ std::optional<cluster::NodeName> SgxAwareScheduler::select_node(
 }
 
 void SgxAwareScheduler::on_unschedulable(
-    const cluster::PodSpec& pod, const std::vector<orch::NodeView>& all) {
-  if (!config_.enable_preemption || pod.priority <= 0) return;
-  const cluster::ResourceAmounts needed = pod.total_requests();
+    const orch::PodRecord& pod, const std::vector<orch::NodeView>& all) {
+  const cluster::PodSpec& spec = pod.spec;
+  if (!config_.enable_preemption || spec.priority <= 0) return;
 
   // Per node, collect strictly-lower-priority victims (cheapest first:
   // lowest priority, then smallest footprint) and check whether evicting
@@ -125,8 +125,8 @@ void SgxAwareScheduler::on_unschedulable(
   std::optional<Candidate> best;
 
   for (const orch::NodeView& view : all) {
-    if (pod.wants_sgx() && !view.sgx_capable) continue;
-    if (!pod.node_selector.empty() && pod.node_selector != view.name) {
+    if (pod.wants_sgx && !view.sgx_capable) continue;
+    if (!spec.node_selector.empty() && spec.node_selector != view.name) {
       continue;
     }
 
@@ -139,9 +139,9 @@ void SgxAwareScheduler::on_unschedulable(
     orch::PodFilter on_node;
     on_node.node = view.name;
     for (const orch::PodRecord* record : api().list_pods(on_node)) {
-      if (record->spec.priority >= pod.priority) continue;
-      victims.push_back(Victim{record->spec.name, record->spec.priority,
-                               record->spec.total_requests()});
+      if (record->spec.priority >= spec.priority) continue;
+      victims.push_back(
+          Victim{record->spec.name, record->spec.priority, record->requests});
     }
     std::sort(victims.begin(), victims.end(),
               [](const Victim& a, const Victim& b) {
@@ -179,7 +179,7 @@ void SgxAwareScheduler::on_unschedulable(
 
   if (!best || best->victims.empty()) return;
   for (const cluster::PodName& victim : best->victims) {
-    api().evict(victim, "Preempted by higher-priority pod " + pod.name);
+    api().evict(victim, "Preempted by higher-priority pod " + spec.name);
     ++preemptions_;
   }
 }

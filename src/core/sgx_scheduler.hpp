@@ -79,7 +79,7 @@ class SgxAwareScheduler final : public orch::Scheduler {
  protected:
   [[nodiscard]] std::vector<orch::NodeView> collect_views() override;
   [[nodiscard]] std::optional<cluster::NodeName> select_node(
-      const cluster::PodSpec& pod,
+      const orch::PodRecord& pod,
       const std::vector<orch::NodeView>& feasible,
       const std::vector<orch::NodeView>& all) override;
 
@@ -87,7 +87,7 @@ class SgxAwareScheduler final : public orch::Scheduler {
   /// on a single node that makes `pod` fit there; the pod itself binds on
   /// a following cycle (non-preemptive placement is preserved within a
   /// cycle).
-  void on_unschedulable(const cluster::PodSpec& pod,
+  void on_unschedulable(const orch::PodRecord& pod,
                         const std::vector<orch::NodeView>& all) override;
 
  private:

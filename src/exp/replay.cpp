@@ -156,8 +156,7 @@ ReplayResult run_replay(const ReplayOptions& options) {
         pending.phase = cluster::PodPhase::kPending;
         for (const orch::PodRecord* record :
              cluster.api().list_pods(pending)) {
-          const cluster::ResourceAmounts request =
-              record->spec.total_requests();
+          const cluster::ResourceAmounts& request = record->requests;
           sample.epc_requested += request.epc_pages.as_bytes();
           sample.memory_requested += request.memory;
           ++sample.pending_pods;
@@ -199,7 +198,7 @@ ReplayResult run_replay(const ReplayOptions& options) {
     JobOutcome outcome;
     outcome.pod = record->spec.name;
     outcome.sgx = record->spec.behavior.sgx;
-    const cluster::ResourceAmounts request = record->spec.total_requests();
+    const cluster::ResourceAmounts& request = record->requests;
     outcome.requested =
         outcome.sgx ? request.epc_pages.as_bytes() : request.memory;
     outcome.actual = record->spec.behavior.actual_usage;

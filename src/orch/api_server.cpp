@@ -8,6 +8,11 @@
 
 namespace sgxo::orch {
 
+PodRecord::PodRecord(cluster::PodSpec pod_spec)
+    : spec(std::move(pod_spec)),
+      requests(spec.total_requests()),
+      wants_sgx(spec.wants_sgx()) {}
+
 std::optional<Duration> PodRecord::waiting_time() const {
   if (!started.has_value()) return std::nullopt;
   return *started - submitted;
@@ -146,7 +151,7 @@ void ApiServer::unindex(const PodRecord& record) {
 }
 
 void ApiServer::usage_add(const PodRecord& record) {
-  const cluster::ResourceAmounts request = record.spec.total_requests();
+  const cluster::ResourceAmounts& request = record.requests;
   cluster::ResourceAmounts& usage =
       usage_by_namespace_[record.spec.namespace_name];
   usage.memory += request.memory;
@@ -154,7 +159,7 @@ void ApiServer::usage_add(const PodRecord& record) {
 }
 
 void ApiServer::usage_remove(const PodRecord& record) {
-  const cluster::ResourceAmounts request = record.spec.total_requests();
+  const cluster::ResourceAmounts& request = record.requests;
   const auto it = usage_by_namespace_.find(record.spec.namespace_name);
   SGXO_CHECK(it != usage_by_namespace_.end());
   SGXO_CHECK(it->second.memory >= request.memory &&
@@ -169,30 +174,29 @@ void ApiServer::submit(cluster::PodSpec spec) {
   SGXO_CHECK_MSG(!spec.name.empty(), "pod needs a name");
   SGXO_CHECK_MSG(pods_.find(spec.name) == pods_.end(),
                  "pod name already exists: " + spec.name);
+  PodRecord record{std::move(spec)};
+  const cluster::PodSpec& pod = record.spec;
 
   // Quota admission: the namespace's non-terminal requests plus this pod
   // must fit every limited resource. The usage accumulator makes this
   // O(log namespaces) instead of a full pod-store scan.
-  const auto quota_it = quotas_.find(spec.namespace_name);
+  const auto quota_it = quotas_.find(pod.namespace_name);
   if (quota_it != quotas_.end()) {
     const ResourceQuota& quota = quota_it->second;
-    const cluster::ResourceAmounts usage =
-        namespace_usage(spec.namespace_name);
-    const cluster::ResourceAmounts request = spec.total_requests();
+    const cluster::ResourceAmounts usage = namespace_usage(pod.namespace_name);
+    const cluster::ResourceAmounts& request = record.requests;
     if (quota.memory.count() > 0 &&
         usage.memory + request.memory > quota.memory) {
-      throw QuotaExceeded{"namespace '" + spec.namespace_name +
-                          "' memory quota exceeded by pod " + spec.name};
+      throw QuotaExceeded{"namespace '" + pod.namespace_name +
+                          "' memory quota exceeded by pod " + pod.name};
     }
     if (quota.epc_pages.count() > 0 &&
         usage.epc_pages + request.epc_pages > quota.epc_pages) {
-      throw QuotaExceeded{"namespace '" + spec.namespace_name +
-                          "' EPC page quota exceeded by pod " + spec.name};
+      throw QuotaExceeded{"namespace '" + pod.namespace_name +
+                          "' EPC page quota exceeded by pod " + pod.name};
     }
   }
 
-  PodRecord record;
-  record.spec = std::move(spec);
   record.submitted = sim_->now();
   record.seq = next_seq_++;
   const cluster::PodName name = record.spec.name;
@@ -374,7 +378,7 @@ ApiServer::BindOutcome ApiServer::try_bind(const cluster::PodName& pod,
   // refuses it. Neither counts as contention.
   if (attestation_ != nullptr && entry->node->has_sgx()) {
     const AttestationGate::Check check =
-        attestation_->check_bind(node, record.spec.wants_sgx());
+        attestation_->check_bind(node, record.wants_sgx);
     if (check == AttestationGate::Check::kPending) {
       ++attestation_pending_;
       return {BindStatus::kAttestationPending, observed};

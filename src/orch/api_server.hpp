@@ -41,7 +41,16 @@
 namespace sgxo::orch {
 
 struct PodRecord {
+  /// Sums the spec's requests once: the spec never changes after submit,
+  /// so every scheduling read takes `requests` and `wants_sgx` from here
+  /// instead of re-summing the containers.
+  explicit PodRecord(cluster::PodSpec pod_spec);
+
   cluster::PodSpec spec;
+  /// spec.total_requests(), fixed at submit.
+  cluster::ResourceAmounts requests;
+  /// spec.wants_sgx(), fixed at submit.
+  bool wants_sgx = false;
   cluster::PodPhase phase = cluster::PodPhase::kPending;
   TimePoint submitted;
   /// Submission sequence number — the FCFS tie-breaker within a priority

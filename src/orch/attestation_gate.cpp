@@ -167,7 +167,7 @@ void AttestationGate::evict_sgx_pods(const cluster::NodeName& node,
   PodFilter filter;
   filter.node = node;
   for (const PodRecord* record : api_->list_pods(filter)) {
-    if (record->spec.wants_sgx()) victims.push_back(record->spec.name);
+    if (record->wants_sgx) victims.push_back(record->spec.name);
   }
   for (const cluster::PodName& pod : victims) {
     api_->evict(pod, reason);

@@ -15,7 +15,7 @@ std::vector<NodeView> request_based_views(ApiServer& api) {
     PodFilter on_node;
     on_node.node = view.name;
     for (const PodRecord* record : api.list_pods(on_node)) {
-      const cluster::ResourceAmounts request = record->spec.total_requests();
+      const cluster::ResourceAmounts& request = record->requests;
       view.memory_used += request.memory;
       view.epc_used += request.epc_pages;
       view.epc_requested += request.epc_pages;
@@ -39,7 +39,7 @@ std::vector<NodeView> DefaultScheduler::collect_views() {
 }
 
 std::optional<cluster::NodeName> DefaultScheduler::select_node(
-    const cluster::PodSpec& pod, const std::vector<NodeView>& feasible,
+    const PodRecord& pod, const std::vector<NodeView>& feasible,
     const std::vector<NodeView>& all) {
   (void)pod;
   (void)all;

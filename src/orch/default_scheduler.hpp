@@ -26,7 +26,7 @@ class DefaultScheduler final : public Scheduler {
   /// Least-requested priority: the feasible node with the lowest combined
   /// requested fraction wins (ties broken by name for determinism).
   [[nodiscard]] std::optional<cluster::NodeName> select_node(
-      const cluster::PodSpec& pod, const std::vector<NodeView>& feasible,
+      const PodRecord& pod, const std::vector<NodeView>& feasible,
       const std::vector<NodeView>& all) override;
 };
 

@@ -8,13 +8,13 @@ Table get_pods(const ApiServer& api, TimePoint now) {
   Table table({"NAME", "NAMESPACE", "PHASE", "NODE", "SGX", "EPC REQ",
                "MEM REQ", "AGE"});
   for (const PodRecord* record : api.list_pods(PodFilter{})) {
-    const cluster::ResourceAmounts request = record->spec.total_requests();
+    const cluster::ResourceAmounts& request = record->requests;
     table.add_row({
         record->spec.name,
         record->spec.namespace_name,
         to_string(record->phase),
         record->node.empty() ? "<none>" : record->node,
-        record->spec.wants_sgx() ? "yes" : "no",
+        record->wants_sgx ? "yes" : "no",
         std::to_string(request.epc_pages.count()) + "p",
         to_string(request.memory),
         to_string(now - record->submitted),
@@ -66,7 +66,7 @@ std::string describe_pod(const ApiServer& api,
     os << "NodeSelector: " << record.spec.node_selector << '\n';
   }
 
-  const cluster::ResourceAmounts requests = record.spec.total_requests();
+  const cluster::ResourceAmounts& requests = record.requests;
   const cluster::ResourceAmounts limits = record.spec.total_limits();
   os << "Requests:   epc=" << requests.epc_pages.count() << "p memory="
      << to_string(requests.memory) << '\n'

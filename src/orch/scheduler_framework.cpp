@@ -6,20 +6,20 @@
 
 namespace sgxo::orch {
 
-bool fits(const cluster::PodSpec& pod, const NodeView& view) {
-  const cluster::ResourceAmounts request = pod.total_requests();
+bool fits(const PodRecord& pod, const NodeView& view) {
+  const cluster::ResourceAmounts& request = pod.requests;
   // nodeSelector pins the pod to one node.
-  if (!pod.node_selector.empty() && pod.node_selector != view.name) {
+  if (!pod.spec.node_selector.empty() && pod.spec.node_selector != view.name) {
     return false;
   }
   // Hardware compatibility: SGX-enabled jobs need an SGX node.
-  if (pod.wants_sgx() && !view.sgx_capable) return false;
+  if (pod.wants_sgx && !view.sgx_capable) return false;
   // Standard memory saturation.
   if (view.memory_used + request.memory > view.memory_capacity) return false;
   // EPC saturation — over-commitment is deliberately prevented (§V-A):
   // the usage estimate must fit, and so must the device-plugin request
   // accounting (pages are finite device items).
-  if (pod.wants_sgx()) {
+  if (pod.wants_sgx) {
     if (view.epc_used + request.epc_pages > view.epc_capacity) return false;
     if (view.epc_requested + request.epc_pages > view.epc_capacity) {
       return false;
@@ -27,6 +27,74 @@ bool fits(const cluster::PodSpec& pod, const NodeView& view) {
   }
   return true;
 }
+
+namespace {
+
+/// Request shapes that failed fits() on every view of the current cycle,
+/// per placement class: the SGX flag and the node selector, i.e.
+/// everything fits() reads of a pod besides its request vector. Views only
+/// lose capacity within a cycle (the one write is the reservation after a
+/// kBound), and fits() is monotone in the request, so a later pod of the
+/// same class whose request is >= a failed shape in every component fits
+/// nowhere either. Each class keeps only its minimal failed shapes (an
+/// antichain), so a deep queue of similar pods costs one comparison per
+/// shape instead of one fits() per node.
+class InfeasibleShapes {
+ public:
+  [[nodiscard]] bool dominated(const PodRecord& pod) const {
+    const std::size_t cls = class_of(pod);
+    if (cls == classes_.size()) return false;
+    const std::vector<cluster::ResourceAmounts>& minimal =
+        classes_[cls].minimal;
+    return std::any_of(minimal.begin(), minimal.end(),
+                       [&](const cluster::ResourceAmounts& failed) {
+                         return covers(pod.requests, failed);
+                       });
+  }
+
+  /// Records a pod that fit no view (and was not already dominated).
+  void add(const PodRecord& pod) {
+    const std::size_t cls = class_of(pod);
+    if (cls == classes_.size()) {
+      classes_.push_back(Class{pod.wants_sgx, pod.spec.node_selector, {}});
+    }
+    std::vector<cluster::ResourceAmounts>& minimal = classes_[cls].minimal;
+    minimal.erase(std::remove_if(minimal.begin(), minimal.end(),
+                                 [&](const cluster::ResourceAmounts& failed) {
+                                   return covers(failed, pod.requests);
+                                 }),
+                  minimal.end());
+    minimal.push_back(pod.requests);
+  }
+
+ private:
+  struct Class {
+    bool wants_sgx;
+    cluster::NodeName node_selector;
+    std::vector<cluster::ResourceAmounts> minimal;
+  };
+
+  /// a >= b in every component.
+  static bool covers(const cluster::ResourceAmounts& a,
+                     const cluster::ResourceAmounts& b) {
+    return a.memory >= b.memory && a.epc_pages >= b.epc_pages;
+  }
+
+  /// Index of the pod's class; classes_.size() when it has none yet.
+  [[nodiscard]] std::size_t class_of(const PodRecord& pod) const {
+    std::size_t cls = 0;
+    while (cls < classes_.size() &&
+           (classes_[cls].wants_sgx != pod.wants_sgx ||
+            classes_[cls].node_selector != pod.spec.node_selector)) {
+      ++cls;
+    }
+    return cls;
+  }
+
+  std::vector<Class> classes_;
+};
+
+}  // namespace
 
 Scheduler::Scheduler(sim::Simulation& sim, ApiServer& api, std::string name,
                      Duration period)
@@ -170,14 +238,18 @@ std::size_t Scheduler::run_once() {
     const PodRecord* record;
     std::uint64_t version;
   };
+  const std::vector<const PodRecord*> pulled = pull_pending();
   std::vector<PendingSnapshot> snapshot;
-  for (const PodRecord* record : pull_pending()) {
+  snapshot.reserve(pulled.size());
+  for (const PodRecord* record : pulled) {
     snapshot.push_back(PendingSnapshot{record, record->resource_version});
   }
+  InfeasibleShapes infeasible;
+  std::vector<NodeView> feasible;
+  feasible.reserve(views.size());
   for (const PendingSnapshot& pending : snapshot) {
-    const PodRecord* record = pending.record;
-    const cluster::PodName& pod_name = record->spec.name;
-    const cluster::PodSpec& spec = record->spec;
+    const PodRecord& record = *pending.record;
+    const cluster::PodName& pod_name = record.spec.name;
 
     if (bind_backoff_enabled()) {
       const auto backoff_it = backoffs_.find(pod_name);
@@ -188,14 +260,18 @@ std::size_t Scheduler::run_once() {
       }
     }
 
-    std::vector<NodeView> feasible;
-    feasible.reserve(views.size());
-    std::copy_if(views.begin(), views.end(), std::back_inserter(feasible),
-                 [&](const NodeView& view) { return fits(spec, view); });
+    // A pod dominated by a shape that already fit nowhere this cycle is
+    // infeasible without asking fits() (see InfeasibleShapes).
+    feasible.clear();
+    if (!infeasible.dominated(record)) {
+      std::copy_if(views.begin(), views.end(), std::back_inserter(feasible),
+                   [&](const NodeView& view) { return fits(record, view); });
+      if (feasible.empty()) infeasible.add(record);
+    }
     if (feasible.empty()) {
       if (!unschedulable_reported) {
         unschedulable_reported = true;
-        on_unschedulable(spec, views);
+        on_unschedulable(record, views);
       }
       note_bind_failure(pod_name);
       if (strict_fcfs_) break;
@@ -203,7 +279,7 @@ std::size_t Scheduler::run_once() {
     }
 
     const std::optional<cluster::NodeName> chosen =
-        select_node(spec, feasible, views);
+        select_node(record, feasible, views);
     if (!chosen.has_value()) {
       note_bind_failure(pod_name);
       if (strict_fcfs_) break;
@@ -256,7 +332,7 @@ std::size_t Scheduler::run_once() {
           return v.name == *chosen;
         });
     SGXO_CHECK(view_it != views.end());
-    const cluster::ResourceAmounts request = spec.total_requests();
+    const cluster::ResourceAmounts& request = record.requests;
     view_it->memory_used += request.memory;
     view_it->epc_used += request.epc_pages;
     view_it->epc_requested += request.epc_pages;

@@ -5,7 +5,10 @@
 // pods FCFS, build a resource view of every schedulable node, filter
 // infeasible job-node combinations (hardware compatibility, saturation),
 // let the concrete placement policy pick a node, and bind. Pods that fit
-// nowhere stay in the persistent pending queue for the next cycle.
+// nowhere stay in the persistent pending queue for the next cycle. Within
+// a cycle, a pod whose request dominates one that already fit nowhere
+// (same SGX flag and node selector) is known infeasible without a fits()
+// call: views only lose capacity until the cycle ends.
 //
 // Multiple replicas (Omega-style shared state): N replicas sharing one
 // scheduler *name* (they drain the same pending bucket) but carrying
@@ -77,8 +80,9 @@ struct NodeView {
 
 /// True iff placing `pod` on `view` satisfies hardware compatibility and
 /// saturation constraints (never over-commits the EPC: both the measured
-/// usage and the device-plugin request accounting must fit).
-[[nodiscard]] bool fits(const cluster::PodSpec& pod, const NodeView& view);
+/// usage and the device-plugin request accounting must fit). Reads the
+/// pod's requests, SGX flag and node selector, nothing else of the pod.
+[[nodiscard]] bool fits(const PodRecord& pod, const NodeView& view);
 
 class Scheduler {
  public:
@@ -194,13 +198,13 @@ class Scheduler {
   /// like spread need the cluster-wide load vector, not just the feasible
   /// subset. nullopt leaves the pod pending.
   [[nodiscard]] virtual std::optional<cluster::NodeName> select_node(
-      const cluster::PodSpec& pod, const std::vector<NodeView>& feasible,
+      const PodRecord& pod, const std::vector<NodeView>& feasible,
       const std::vector<NodeView>& all) = 0;
 
   /// Called at most once per cycle, for the highest-priority pod that fit
   /// nowhere. Implementations may free resources for the *next* cycle
   /// (e.g. preempt lower-priority pods). Default: nothing.
-  virtual void on_unschedulable(const cluster::PodSpec& pod,
+  virtual void on_unschedulable(const PodRecord& pod,
                                 const std::vector<NodeView>& all) {
     (void)pod;
     (void)all;

@@ -105,6 +105,7 @@ void Series::update_rollups(const Point& p) {
 void Series::append(Point p) {
   const std::int64_t t = p.time.micros_since_epoch();
   ++size_;
+  newest_us_ = std::max(newest_us_, t);
   update_rollups(p);
 
   const auto insert_sorted = [&](Chunk& chunk) {
@@ -204,18 +205,26 @@ std::size_t Series::drop_before(TimePoint horizon) {
 }
 
 std::size_t Series::compact(std::int64_t sealed_before_us) {
-  if (chunks_.size() < 2) return 0;
   const std::int64_t max_span =
       kCompactMaxSpanWidths * options_.chunk_width_us;
+  const auto mergeable = [&](const Chunk& dst, const Chunk& next) {
+    return next.end_us <= sealed_before_us && dst.end_us <= sealed_before_us &&
+           dst.points.size() + next.points.size() <= kCompactTargetPoints &&
+           next.end_us - dst.start_us <= max_span;
+  };
+  // Until the first merge every destination is the previous chunk itself,
+  // so no mergeable adjacent pair means nothing to do: return before
+  // building a new chunk vector (the common case on every scrape).
+  if (std::adjacent_find(chunks_.begin(), chunks_.end(), mergeable) ==
+      chunks_.end()) {
+    return 0;
+  }
+
   std::size_t merges = 0;
   std::vector<Chunk> out;
   out.reserve(chunks_.size());
   for (Chunk& chunk : chunks_) {
-    if (!out.empty() && chunk.end_us <= sealed_before_us &&
-        out.back().end_us <= sealed_before_us &&
-        out.back().points.size() + chunk.points.size() <=
-            kCompactTargetPoints &&
-        chunk.end_us - out.back().start_us <= max_span) {
+    if (!out.empty() && mergeable(out.back(), chunk)) {
       Chunk& dst = out.back();
       dst.points.insert(dst.points.end(), chunk.points.begin(),
                         chunk.points.end());
@@ -231,16 +240,9 @@ std::size_t Series::compact(std::int64_t sealed_before_us) {
 
 // ---- Measurement -----------------------------------------------------------
 
-Series& Measurement::series_for(const Tags& tags) {
-  return series_for(tags, tags_key(tags));
-}
-
-Series& Measurement::series_for(const Tags& tags, const std::string& key) {
-  auto it = series_.find(key);
-  if (it == series_.end()) {
-    it = series_.emplace(key, Series{tags, options_}).first;
-  }
-  return it->second;
+std::optional<TimePoint> Measurement::newest() const {
+  if (points_ == 0) return std::nullopt;
+  return TimePoint::from_micros(newest_us_);
 }
 
 const Series* Measurement::find_series(const Tags& tags) const {
@@ -249,8 +251,13 @@ const Series* Measurement::find_series(const Tags& tags) const {
 }
 
 void Measurement::append(const Tags& tags, const std::string& key, Point p) {
-  series_for(tags, key).append(p);
+  auto it = series_.find(key);
+  if (it == series_.end()) {
+    it = series_.emplace(key, Series{tags, options_}).first;
+  }
+  it->second.append(p);
   ++points_;
+  newest_us_ = std::max(newest_us_, p.time.micros_since_epoch());
 }
 
 std::size_t Measurement::drop_before(TimePoint horizon) {
@@ -573,10 +580,15 @@ std::optional<TimePoint> Database::newest_time(
     std::lock_guard<std::mutex> lock(shard.mu);
     const auto it = shard.measurements.find(measurement);
     if (it == shard.measurements.end()) continue;
-    it->second.for_each_series([&](const Series& series) {
-      const std::optional<TimePoint> t = series.newest(horizon);
+    const auto consider = [&](std::optional<TimePoint> t) {
       if (t.has_value() && (!newest.has_value() || *t > *newest)) newest = t;
-    });
+    };
+    if (!horizon.has_value()) {
+      consider(it->second.newest());
+      continue;
+    }
+    it->second.for_each_series(
+        [&](const Series& series) { consider(series.newest(horizon)); });
   }
   return newest;
 }

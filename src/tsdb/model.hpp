@@ -136,6 +136,14 @@ class Series {
   [[nodiscard]] std::optional<TimePoint> newest(
       std::optional<TimePoint> horizon) const;
 
+  /// Time of the newest point ever appended, kept after retention drops
+  /// it (INT64_MIN before the first append). No point and no rollup
+  /// bucket of the series lies after it, so a scan whose window starts
+  /// later can skip the series unread.
+  [[nodiscard]] std::int64_t newest_appended_us() const {
+    return newest_us_;
+  }
+
   /// Drops points strictly older than `horizon` (whole chunks where
   /// possible; a chunk left with no points is removed) and rollup buckets
   /// that are entirely expired. Returns how many points were dropped.
@@ -152,6 +160,7 @@ class Series {
   std::vector<Chunk> chunks_;  // sorted by start_us, non-overlapping
   std::vector<RollupBucket> rollups_[kRollupLevelCount];  // sorted by start
   std::size_t size_ = 0;
+  std::int64_t newest_us_ = INT64_MIN;
 
   void update_rollups(const Point& p);
 };
@@ -166,14 +175,18 @@ class Measurement {
   [[nodiscard]] const std::string& name() const { return name_; }
   [[nodiscard]] std::size_t series_count() const { return series_.size(); }
   [[nodiscard]] std::size_t point_count() const { return points_; }
+  /// Time of the newest point the measurement holds; nullopt once it
+  /// holds none. O(1): retention, the only way points leave, drops the
+  /// newest point only together with every other, so the newest time
+  /// ever appended stays exact while any point remains.
+  [[nodiscard]] std::optional<TimePoint> newest() const;
 
-  Series& series_for(const Tags& tags);
-  /// As series_for, with the tags_key precomputed by the caller (the write
-  /// path already hashed it for shard routing).
-  Series& series_for(const Tags& tags, const std::string& key);
   [[nodiscard]] const Series* find_series(const Tags& tags) const;
 
-  /// Appends one point, keeping the measurement's point counter in sync.
+  /// Appends one point to the series of `tags` (created on first use;
+  /// `key` is tags_key(tags), which the write path already computed for
+  /// shard routing), keeping the point counter and the newest time in
+  /// sync. The only write path: no caller gets a mutable Series.
   void append(const Tags& tags, const std::string& key, Point p);
 
   /// Visits every series (const), in tags_key order.
@@ -209,6 +222,7 @@ class Measurement {
   SeriesOptions options_;
   std::map<std::string, Series> series_;  // keyed by tags_key
   std::size_t points_ = 0;
+  std::int64_t newest_us_ = INT64_MIN;
 };
 
 struct DatabaseConfig {
@@ -328,7 +342,10 @@ class Database {
 
   /// Timestamp of the newest *visible* point of a measurement (respects
   /// the read horizons); nullopt when the measurement is empty or unknown.
-  /// The scheduler uses this to detect a stale metrics pipeline.
+  /// The scheduler uses this to detect a stale metrics pipeline. A shard
+  /// with no read horizon answers in O(1) (Measurement::newest); a frozen
+  /// shard walks its series for the newest point at or before the
+  /// horizon.
   [[nodiscard]] std::optional<TimePoint> newest_time(
       const std::string& measurement) const;
 

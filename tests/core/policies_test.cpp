@@ -22,21 +22,21 @@ NodeView view(const std::string& name, bool sgx, Bytes mem_cap,
   return v;
 }
 
-cluster::PodSpec standard_pod(Bytes request) {
+orch::PodRecord standard_pod(Bytes request) {
   cluster::PodBehavior behavior;
   behavior.actual_usage = request;
   behavior.duration = Duration::seconds(30);
-  return cluster::make_stressor_pod("p", {request, Pages{0}},
-                                    {request, Pages{0}}, behavior);
+  return orch::PodRecord{cluster::make_stressor_pod(
+      "p", {request, Pages{0}}, {request, Pages{0}}, behavior)};
 }
 
-cluster::PodSpec sgx_pod(Pages request) {
+orch::PodRecord sgx_pod(Pages request) {
   cluster::PodBehavior behavior;
   behavior.sgx = true;
   behavior.actual_usage = request.as_bytes();
   behavior.duration = Duration::seconds(30);
-  return cluster::make_stressor_pod("p", {0_B, request}, {0_B, request},
-                                    behavior);
+  return orch::PodRecord{cluster::make_stressor_pod(
+      "p", {0_B, request}, {0_B, request}, behavior)};
 }
 
 TEST(PolicyNames, Strings) {

@@ -402,5 +402,119 @@ TEST(TsdbDiffTargeted, ShardStaleReadHorizonFallsBackToRawExactly) {
   }
 }
 
+TEST(TsdbDiffTargeted, SeriesQuietBeforeTheWindowAreSkippedExactly) {
+  // A scan skips, unread, every series whose newest appended point lies
+  // before the window start. Check that against stores that never held
+  // those series: many stale pods, one pod whose newest point sits exactly
+  // on the window start (the bound is inclusive), live pods, and pods that
+  // retention left with rollup buckets only. Retention at 3630 s keeps 20
+  // minutes, so the horizon is 2430 s: a pod that stopped between 2400 s
+  // and 2429 s keeps only its 60 s bucket [2400,2460).
+  const TimePoint now = at(3630);
+  const Duration retention = Duration::minutes(20);
+  struct Pod {
+    std::int64_t start;
+    std::int64_t last;
+  };
+  std::vector<Pod> pods;
+  Rng rng{4545};
+  for (int p = 0; p < 120; ++p) {  // stale: quiet well before 3605 s
+    const std::int64_t start = rng.uniform_int(2430, 3000);
+    pods.push_back({start, start + rng.uniform_int(0, 300)});
+  }
+  for (std::int64_t last = 2400; last < 2430; last += 3) {
+    pods.push_back({2300, last});  // bucket-only; stale for 2410 s if < it
+  }
+  const std::string edge_pod = "p" + std::to_string(pods.size());
+  pods.push_back({3000, 3605});  // newest point == now - 25 s
+  for (int p = 0; p < 6; ++p) pods.push_back({3000 + p, 3630});  // live
+  // Every pod writes every 5 s from its start through its last point.
+  const auto build = [&](std::size_t shards, std::int64_t min_last) {
+    DatabaseConfig config;
+    config.shards = shards;
+    config.chunk_width = Duration::seconds(120);
+    auto db = std::make_unique<Database>(config);
+    Rng values{4546};
+    for (std::size_t p = 0; p < pods.size(); ++p) {
+      const Tags tags{{"pod_name", "p" + std::to_string(p)},
+                      {"nodename", "n" + std::to_string(p % 3)}};
+      for (std::int64_t t = pods[p].start; t <= pods[p].last; t += 5) {
+        const double value = static_cast<double>(values.uniform_int(0, 500));
+        if (pods[p].last >= min_last) db->write("sgx/epc", tags, at(t), value);
+      }
+    }
+    db->maintain(now, retention);
+    return db;
+  };
+  const auto reaching = [&](std::int64_t lo) {
+    return static_cast<std::size_t>(
+        std::count_if(pods.begin(), pods.end(),
+                      [&](const Pod& pod) { return pod.last >= lo; }));
+  };
+
+  struct Case {
+    std::string text;
+    std::int64_t lo;  // the scan's window start, in seconds
+  };
+  const std::vector<Case> cases{
+      // The scheduler's Listing-1 slide: raw, 25 s.
+      {"SELECT MAX(value) AS usage FROM \"sgx/epc\" WHERE value <> 0 AND "
+       "time >= now() - 25s GROUP BY pod_name, nodename",
+       3605},
+      {"SELECT COUNT(value) AS n FROM \"sgx/epc\" "
+       "WHERE time >= now() - 25s GROUP BY pod_name",
+       3605},
+      // Rollup-eligible, cut mid-bucket: buckets from 2460 s, raw edge
+      // [2410,2459] where retention left no raw point.
+      {"SELECT SUM(value) AS v, COUNT(value) AS n FROM \"sgx/epc\" "
+       "WHERE time >= 2410s GROUP BY pod_name",
+       2410},
+      // Rollup-eligible, bucket-aligned: the bucket-only pods' [2400,2460)
+      // buckets are folded.
+      {"SELECT SUM(value) AS v, COUNT(value) AS n FROM \"sgx/epc\" "
+       "WHERE time >= 2400s GROUP BY pod_name",
+       2400},
+  };
+  const std::unique_ptr<Database> reference = build(1, INT64_MIN);
+  for (const Case& c : cases) {
+    const ql::PreparedQuery prepared = ql::PreparedQuery::prepare(c.text);
+    const ql::ResultSet want = prepared.execute(*reference, now);
+    ASSERT_FALSE(want.rows.empty()) << c.text;
+    for (const std::size_t shards : kShardCounts) {
+      const std::unique_ptr<Database> full = build(shards, INT64_MIN);
+      const std::unique_ptr<Database> without_stale = build(shards, c.lo);
+      const std::string context =
+          "[" + std::to_string(shards) + " shards] " + c.text;
+      for (const Database* db : {full.get(), without_stale.get()}) {
+        ql::ExecStats stats;
+        ql::ExecOptions options;
+        options.mode = ql::ScanMode::kSerial;
+        options.stats = &stats;
+        expect_bit_identical(want, prepared.execute(*db, now, {}, options),
+                             context);
+        // Only the series reaching the window start were visited.
+        std::size_t visited = 0;
+        for (const ql::ShardScanStats& shard : stats.shards) {
+          visited += shard.series;
+        }
+        EXPECT_EQ(visited, reaching(c.lo)) << context;
+      }
+    }
+  }
+  // The inclusive bound: the pod whose newest point is exactly now - 25 s
+  // is in the Listing-1 window with that one point.
+  const ql::ResultSet edge =
+      ql::PreparedQuery::prepare(cases[1].text).execute(*reference, now);
+  EXPECT_DOUBLE_EQ(edge.value_for("pod_name", edge_pod, "n", 0.0), 1.0);
+  // Bucket-only pods: all ten are folded from their [2400,2460) bucket
+  // when the window starts on it; none has a raw point left for the cut
+  // window's edge, so that one returns no row for them.
+  const auto rows_of = [&](const std::string& text) {
+    return ql::PreparedQuery::prepare(text).execute(*reference, now).rows;
+  };
+  EXPECT_EQ(rows_of(cases[3].text).size(), reaching(2400));
+  EXPECT_EQ(rows_of(cases[2].text).size(), reaching(2430));
+}
+
 }  // namespace
 }  // namespace sgxo::tsdb

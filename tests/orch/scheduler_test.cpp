@@ -57,19 +57,19 @@ NodeView view(const std::string& name, bool sgx, Bytes mem_cap,
 
 TEST(Fits, HardwareCompatibility) {
   // SGX-enabled job on a non-SGX node is filtered out (§IV).
-  const auto pod = sgx_pod("p", Pages{10});
+  const PodRecord pod{sgx_pod("p", Pages{10})};
   EXPECT_FALSE(fits(pod, view("std", false, 64_GiB, 0_B)));
   EXPECT_TRUE(fits(pod, view("sgx", true, 8_GiB, 0_B, Pages{23'936})));
 }
 
 TEST(Fits, MemorySaturation) {
-  const auto pod = standard_pod("p", 8_GiB);
+  const PodRecord pod{standard_pod("p", 8_GiB)};
   EXPECT_TRUE(fits(pod, view("n", false, 64_GiB, 56_GiB)));
   EXPECT_FALSE(fits(pod, view("n", false, 64_GiB, 56_GiB + 1_B)));
 }
 
 TEST(Fits, EpcSaturationOnMeasuredUsage) {
-  const auto pod = sgx_pod("p", Pages{1000});
+  const PodRecord pod{sgx_pod("p", Pages{1000})};
   EXPECT_TRUE(fits(pod, view("sgx", true, 8_GiB, 0_B, Pages{23'936},
                              Pages{22'936})));
   EXPECT_FALSE(fits(pod, view("sgx", true, 8_GiB, 0_B, Pages{23'936},
@@ -79,7 +79,7 @@ TEST(Fits, EpcSaturationOnMeasuredUsage) {
 TEST(Fits, EpcSaturationOnDeviceRequests) {
   // Even if measured usage looks low, the device plugin's request
   // accounting must also fit — no EPC over-commitment, ever.
-  const auto pod = sgx_pod("p", Pages{1000});
+  const PodRecord pod{sgx_pod("p", Pages{1000})};
   EXPECT_FALSE(fits(pod, view("sgx", true, 8_GiB, 0_B, Pages{23'936},
                               Pages{0}, Pages{23'000})));
   EXPECT_TRUE(fits(pod, view("sgx", true, 8_GiB, 0_B, Pages{23'936},
@@ -87,7 +87,7 @@ TEST(Fits, EpcSaturationOnDeviceRequests) {
 }
 
 TEST(Fits, StandardPodIgnoresEpcColumns) {
-  const auto pod = standard_pod("p", 1_GiB);
+  const PodRecord pod{standard_pod("p", 1_GiB)};
   EXPECT_TRUE(fits(pod, view("sgx", true, 8_GiB, 0_B, Pages{23'936},
                              Pages{23'936}, Pages{23'936})));
 }

@@ -4,9 +4,11 @@
 
 #include <algorithm>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/error.hpp"
+#include "common/rng.hpp"
 #include "tsdb/ql/executor.hpp"
 #include "tsdb/ql/prepared.hpp"
 
@@ -70,21 +72,45 @@ TEST(Series, DropBeforeRemovesOldPoints) {
   EXPECT_EQ(s.points().front().time, at(3));
 }
 
+/// Measurement::append with the tags_key the write path would pass.
+void append(Measurement& m, const Tags& tags, Point p) {
+  m.append(tags, tags_key(tags), p);
+}
+
 TEST(Measurement, SeriesIdentityByTags) {
   Measurement m{"m"};
-  Series& a = m.series_for({{"pod", "a"}});
-  Series& b = m.series_for({{"pod", "b"}});
-  Series& a_again = m.series_for({{"pod", "a"}});
-  EXPECT_EQ(&a, &a_again);
-  EXPECT_NE(&a, &b);
+  append(m, {{"pod", "a"}}, {at(1), 1.0});
+  append(m, {{"pod", "b"}}, {at(1), 2.0});
+  const Series* a = m.find_series({{"pod", "a"}});
+  append(m, {{"pod", "a"}}, {at(2), 3.0});
+  const Series* a_again = m.find_series({{"pod", "a"}});
+  ASSERT_NE(a, nullptr);
+  EXPECT_EQ(a, a_again);
+  EXPECT_NE(a, m.find_series({{"pod", "b"}}));
+  EXPECT_EQ(a->size(), 2u);
   EXPECT_EQ(m.series_count(), 2u);
+  EXPECT_EQ(m.point_count(), 3u);
 }
 
 TEST(Measurement, FindSeries) {
   Measurement m{"m"};
-  m.series_for({{"pod", "a"}}).append({at(1), 1.0});
+  append(m, {{"pod", "a"}}, {at(1), 1.0});
   EXPECT_NE(m.find_series({{"pod", "a"}}), nullptr);
   EXPECT_EQ(m.find_series({{"pod", "zzz"}}), nullptr);
+}
+
+TEST(Measurement, NewestIsTheNewestHeldPoint) {
+  Measurement m{"m"};
+  EXPECT_FALSE(m.newest().has_value());
+  append(m, {{"pod", "a"}}, {at(30), 1.0});
+  append(m, {{"pod", "b"}}, {at(50), 1.0});
+  append(m, {{"pod", "a"}}, {at(40), 1.0});  // out of order
+  EXPECT_EQ(m.newest(), at(50));
+  m.drop_before(at(45));  // drops both points of a; b keeps the newest
+  EXPECT_EQ(m.newest(), at(50));
+  m.drop_before(at(51));  // the newest point goes only with every other
+  EXPECT_EQ(m.point_count(), 0u);
+  EXPECT_FALSE(m.newest().has_value());
 }
 
 TEST(Database, WriteCreatesMeasurementsAndSeries) {
@@ -221,6 +247,31 @@ TEST(Series, EmptyOnlyWithNoPointsAndNoRollupBuckets) {
   EXPECT_FALSE(s.empty());
   s.drop_before(at(120));
   EXPECT_TRUE(s.empty());
+}
+
+TEST(Database, CompactionThatMergesNothingLeavesChunksAlone) {
+  DatabaseConfig config;
+  config.chunk_width = Duration::seconds(60);
+  Database db{config};
+  for (int i = 0; i < 120; i += 5) {
+    db.write("m", {{"k", "v"}}, at(i), static_cast<double>(i));
+  }
+  ASSERT_EQ(db.chunk_count("m"), 2u);
+  // At 120 s only [0,60) is sealed: no adjacent sealed pair to merge.
+  EXPECT_EQ(db.compact(at(120)), 0u);
+  EXPECT_EQ(db.chunk_count("m"), 2u);
+  EXPECT_EQ(db.compactions(), 0u);
+  std::vector<std::pair<std::int64_t, std::int64_t>> boundaries;
+  db.for_each_series("m", [&](const Series& series) {
+    for (const Series::Chunk& chunk : series.chunks()) {
+      boundaries.emplace_back(chunk.start_us, chunk.end_us);
+    }
+  });
+  const std::int64_t width = Duration::seconds(60).micros_count();
+  EXPECT_EQ(boundaries,
+            (std::vector<std::pair<std::int64_t, std::int64_t>>{
+                {0, width}, {width, 2 * width}}));
+  EXPECT_EQ(db.total_points(), 24u);
 }
 
 TEST(Series, CompactMergesSealedChunks) {
@@ -513,6 +564,94 @@ TEST(Database, MaintainCompactsSealedChunks) {
   EXPECT_LT(db.chunk_count("m"), chunks_before);
   EXPECT_GT(db.compactions(), 0u);
   EXPECT_EQ(db.total_points(), 120u);  // retention dropped nothing
+}
+
+// --- newest_time against a brute-force maximum ---------------------------
+
+/// The newest point of `measurement` a reader may see, found the slow way:
+/// every point of every series, each shard cut at its effective horizon.
+std::optional<TimePoint> brute_newest(const Database& db,
+                                      const std::string& measurement) {
+  std::optional<TimePoint> newest;
+  for (std::size_t shard = 0; shard < db.shard_count(); ++shard) {
+    const std::optional<TimePoint> horizon = db.effective_read_horizon(shard);
+    db.for_each_series_in_shard(
+        measurement, shard, [&](const std::string&, const Series& series) {
+          for (const Point& p : series.points()) {
+            if (horizon.has_value() && p.time > *horizon) continue;
+            if (!newest.has_value() || p.time > *newest) newest = p.time;
+          }
+        });
+  }
+  return newest;
+}
+
+TEST(Database, NewestTimeMatchesBruteForceMaximum) {
+  std::size_t emptied = 0;  // checks where retention had emptied "m"
+  std::size_t frozen = 0;   // checks made under some read horizon
+  for (const std::size_t shards : {1u, 2u, 4u}) {
+    for (std::uint64_t seed = 1; seed <= 25; ++seed) {
+      DatabaseConfig config;
+      config.shards = shards;
+      config.chunk_width = Duration::seconds(60);
+      Database db{config};
+      Rng rng{seed * 31 + shards};
+      std::int64_t clock = 0;
+      for (int step = 0; step < 300; ++step) {
+        const auto op = rng.uniform_int(0, 99);
+        const Tags tags{{"pod", "p" + std::to_string(rng.uniform_int(0, 9))}};
+        const auto random_shard = [&] {
+          return static_cast<std::size_t>(rng.uniform_int(
+              0, static_cast<std::int64_t>(db.shard_count()) - 1));
+        };
+        if (op < 50) {  // in-order write
+          clock += rng.uniform_int(0, 10);
+          db.write("m", tags, at(clock), 1.0);
+        } else if (op < 70) {  // delayed, out-of-order write
+          db.write("m", tags, at(clock - rng.uniform_int(1, 300)), 1.0);
+        } else if (op < 75) {
+          db.write("other", tags, at(clock + rng.uniform_int(0, 50)), 1.0);
+        } else if (op < 80) {
+          db.set_write_fault(rng.bernoulli(0.3));
+        } else if (op < 85) {
+          db.set_shard_write_fault(random_shard(), rng.bernoulli(0.4));
+        } else if (op < 89) {
+          db.set_read_horizon(rng.bernoulli(0.5)
+                                  ? std::optional<TimePoint>{}
+                                  : at(clock - rng.uniform_int(0, 200)));
+        } else if (op < 93) {
+          db.set_shard_read_horizon(
+              random_shard(), rng.bernoulli(0.5)
+                                  ? std::optional<TimePoint>{}
+                                  : at(clock - rng.uniform_int(0, 200)));
+        } else if (op < 98) {  // retention
+          db.maintain(at(clock), Duration::seconds(rng.uniform_int(30, 400)));
+        } else {  // a long quiet spell: retention empties everything
+          clock += 10'000;
+          db.maintain(at(clock), Duration::seconds(60));
+        }
+        const std::string context = "shards=" + std::to_string(shards) +
+                                    " seed=" + std::to_string(seed) +
+                                    " step=" + std::to_string(step);
+        const std::optional<TimePoint> want = brute_newest(db, "m");
+        ASSERT_EQ(db.newest_time("m"), want) << context;
+        ASSERT_EQ(db.newest_time("other"), brute_newest(db, "other"))
+            << context;
+        ASSERT_FALSE(db.newest_time("unknown").has_value()) << context;
+        if (!want.has_value() && db.has_measurement("m") &&
+            db.points_in("m") == 0) {
+          ++emptied;
+        }
+        bool any_horizon = db.read_horizon().has_value();
+        for (std::size_t s = 0; s < db.shard_count(); ++s) {
+          any_horizon = any_horizon || db.shard_read_horizon(s).has_value();
+        }
+        if (any_horizon) ++frozen;
+      }
+    }
+  }
+  EXPECT_GT(emptied, 0u);
+  EXPECT_GT(frozen, 0u);
 }
 
 }  // namespace
