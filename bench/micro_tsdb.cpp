@@ -98,35 +98,53 @@ struct QueryResult {
 
 /// The identical sample stream every store ingests: integer values,
 /// pods spread over 32 nodes, one point per series per cadence tick.
-std::vector<Database::Sample> make_samples(const BenchConfig& config) {
-  Rng rng{20260808};
+/// Samples borrow their tags, so the stream owns them; it is filled in
+/// place and never moved.
+struct SampleStream {
+  std::vector<Tags> tags;                          // one per series
+  std::vector<std::vector<tsdb::TagView>> views;   // tag_views(tags[s])
+  std::vector<std::size_t> series;                 // series of each sample
   std::vector<Database::Sample> samples;
-  samples.reserve(config.samples());
-  std::vector<Tags> tags;
-  tags.reserve(config.series);
+
+  SampleStream() = default;
+  SampleStream(const SampleStream&) = delete;
+  SampleStream& operator=(const SampleStream&) = delete;
+};
+
+void make_samples(const BenchConfig& config, SampleStream& stream) {
+  Rng rng{20260808};
+  stream.tags.reserve(config.series);
+  stream.views.reserve(config.series);
   for (std::size_t s = 0; s < config.series; ++s) {
-    tags.push_back({{"pod_name", "p" + std::to_string(s)},
-                    {"nodename", "n" + std::to_string(s % 32)}});
+    stream.tags.push_back({{"pod_name", "p" + std::to_string(s)},
+                           {"nodename", "n" + std::to_string(s % 32)}});
+    stream.views.push_back(tsdb::tag_views(stream.tags.back()));
   }
+  stream.series.reserve(config.samples());
+  stream.samples.reserve(config.samples());
   for (std::size_t i = 0; i < config.points_per_series; ++i) {
     const TimePoint t = at(static_cast<std::int64_t>(i) * config.cadence_s);
     for (std::size_t s = 0; s < config.series; ++s) {
-      samples.push_back({"sgx/epc", tags[s], t,
-                         static_cast<double>(rng.uniform_int(1, 4096))});
+      stream.series.push_back(s);
+      stream.samples.push_back({"sgx/epc", stream.views[s], t,
+                                static_cast<double>(rng.uniform_int(1, 4096))});
     }
   }
-  return samples;
 }
 
 /// Ingests the stream, timing each shard's partition separately: the
 /// modeled parallel ingest is the slowest shard's write time.
-IngestResult ingest(Database& db, const std::vector<Database::Sample>& all) {
+IngestResult ingest(Database& db, const SampleStream& stream) {
   IngestResult r;
   r.shards = db.shard_count();
-  r.samples = all.size();
+  r.samples = stream.samples.size();
+  std::vector<std::size_t> shard_of_series;
+  for (const Tags& tags : stream.tags) {
+    shard_of_series.push_back(db.shard_of("sgx/epc", tags));
+  }
   std::vector<std::vector<Database::Sample>> by_shard(db.shard_count());
-  for (const Database::Sample& sample : all) {
-    by_shard[db.shard_of(sample.measurement, sample.tags)].push_back(sample);
+  for (std::size_t i = 0; i < stream.samples.size(); ++i) {
+    by_shard[shard_of_series[stream.series[i]]].push_back(stream.samples[i]);
   }
   double max_ms = 0.0;
   double sum_ms = 0.0;
@@ -261,7 +279,8 @@ int main(int argc, char** argv) {
                    : std::vector<std::size_t>(std::begin(kShardCounts),
                                               std::end(kShardCounts));
 
-  const std::vector<Database::Sample> samples = make_samples(config);
+  SampleStream stream;
+  make_samples(config, stream);
   const TimePoint now = at(
       static_cast<std::int64_t>(config.points_per_series - 1) *
       config.cadence_s);
@@ -292,13 +311,13 @@ int main(int argc, char** argv) {
     DatabaseConfig db_config;
     db_config.shards = shards;
     Database db{db_config};
-    ingests.push_back(ingest(db, samples));
+    ingests.push_back(ingest(db, stream));
     queries.push_back(run_query(db, "listing1_25s", listing1, now,
-                                config.query_runs, samples.size()));
+                                config.query_runs, stream.samples.size()));
     queries.push_back(run_query(db, "rollup_wide", rollup, now,
-                                config.query_runs, samples.size()));
+                                config.query_runs, stream.samples.size()));
     queries.push_back(run_query(db, "p99_wide", quantile, now,
-                                config.query_runs, samples.size()));
+                                config.query_runs, stream.samples.size()));
   }
 
   Table ingest_table(

@@ -33,8 +33,11 @@ SgxAwareScheduler::SgxAwareScheduler(sim::Simulation& sim,
 
 std::vector<orch::NodeView> SgxAwareScheduler::collect_views() {
   // Start from the request-based view: capacities plus the device-plugin
-  // accounting column (epc_requested) and request-based usage.
-  std::vector<orch::NodeView> views = orch::request_based_views(api());
+  // accounting column (epc_requested) and request-based usage. Its one
+  // per-node pod read also serves the unmeasured-pod fallback below.
+  std::vector<std::vector<const orch::PodRecord*>> assigned;
+  std::vector<orch::NodeView> views =
+      orch::request_based_views(api(), &assigned);
 
   const TimePoint now = sim().now();
 
@@ -54,14 +57,8 @@ std::vector<orch::NodeView> SgxAwareScheduler::collect_views() {
   const auto epc_measured = metrics_.epc_per_pod(now);
   const auto mem_measured = metrics_.memory_per_pod(now);
 
-  for (orch::NodeView& view : views) {
-    // Pods the control plane currently assigns to this node (straight from
-    // the pods-by-node index).
-    orch::PodFilter on_node;
-    on_node.node = view.name;
-    const std::vector<const orch::PodRecord*> assigned =
-        api().list_pods(on_node);
-
+  for (std::size_t i = 0; i < views.size(); ++i) {
+    orch::NodeView& view = views[i];
     // Replace the request-based estimate with measurement-informed usage.
     Bytes memory_used{};
     Pages epc_used{};
@@ -80,7 +77,7 @@ std::vector<orch::NodeView> SgxAwareScheduler::collect_views() {
 
     // Assigned pods not yet visible in the window contribute their
     // declared requests — "combining the two kinds of data" (§IV).
-    for (const orch::PodRecord* record : assigned) {
+    for (const orch::PodRecord* record : assigned[i]) {
       if (measured_pods.find(record->spec.name) != measured_pods.end()) {
         continue;
       }

@@ -130,7 +130,7 @@ void ApiServer::pending_insert(const PodRecord& record) {
 }
 
 void ApiServer::node_insert(const PodRecord& record) {
-  pods_by_node_[record.node].insert(record.spec.name);
+  pods_by_node_[record.node].emplace(record.spec.name, &record);
 }
 
 void ApiServer::unindex(const PodRecord& record) {
@@ -320,10 +320,9 @@ std::vector<const PodRecord*> ApiServer::list_pods(
     const auto it = pods_by_node_.find(*filter.node);
     if (it == pods_by_node_.end()) return out;
     out.reserve(it->second.size());
-    for (const cluster::PodName& name : it->second) {
+    for (const auto& [name, record] : it->second) {
       if (filter.limit > 0 && out.size() == filter.limit) break;
-      const PodRecord& record = pods_.at(name);
-      if (matches(record)) out.push_back(&record);
+      if (matches(*record)) out.push_back(record);
     }
     return out;
   }

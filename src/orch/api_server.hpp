@@ -27,7 +27,6 @@
 #include <map>
 #include <memory>
 #include <optional>
-#include <set>
 #include <string>
 #include <vector>
 
@@ -393,7 +392,10 @@ class ApiServer final : public cluster::PodLifecycleListener {
   // scheduler name ("" = whatever the cluster default resolves to at query
   // time, so changing the default never invalidates the index).
   std::map<std::string, std::map<QueueKey, const PodRecord*>> pending_queues_;
-  std::map<cluster::NodeName, std::set<cluster::PodName>> pods_by_node_;
+  /// Node → its assigned pods by name, pointing at their records (stable
+  /// map nodes), so a per-node read does no per-pod store lookup.
+  std::map<cluster::NodeName, std::map<cluster::PodName, const PodRecord*>>
+      pods_by_node_;
   std::map<std::string, cluster::ResourceAmounts> usage_by_namespace_;
 
   std::deque<Event> events_;

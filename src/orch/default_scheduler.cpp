@@ -4,9 +4,18 @@
 
 namespace sgxo::orch {
 
-std::vector<NodeView> request_based_views(ApiServer& api) {
+std::vector<NodeView> request_based_views(
+    ApiServer& api, std::vector<std::vector<const PodRecord*>>* assigned) {
+  std::vector<ApiServer::NodeEntry> nodes = api.schedulable_nodes();
+  // Stable, deterministic node order.
+  std::sort(nodes.begin(), nodes.end(),
+            [](const ApiServer::NodeEntry& a, const ApiServer::NodeEntry& b) {
+              return a.node->name() < b.node->name();
+            });
   std::vector<NodeView> views;
-  for (const ApiServer::NodeEntry& entry : api.schedulable_nodes()) {
+  views.reserve(nodes.size());
+  if (assigned != nullptr) assigned->clear();
+  for (const ApiServer::NodeEntry& entry : nodes) {
     NodeView view;
     view.name = entry.node->name();
     view.sgx_capable = entry.node->has_sgx();
@@ -14,17 +23,16 @@ std::vector<NodeView> request_based_views(ApiServer& api) {
     view.epc_capacity = entry.node->epc_capacity();
     PodFilter on_node;
     on_node.node = view.name;
-    for (const PodRecord* record : api.list_pods(on_node)) {
+    std::vector<const PodRecord*> pods = api.list_pods(on_node);
+    for (const PodRecord* record : pods) {
       const cluster::ResourceAmounts& request = record->requests;
       view.memory_used += request.memory;
       view.epc_used += request.epc_pages;
       view.epc_requested += request.epc_pages;
     }
     views.push_back(view);
+    if (assigned != nullptr) assigned->push_back(std::move(pods));
   }
-  // Stable, deterministic node order.
-  std::sort(views.begin(), views.end(),
-            [](const NodeView& a, const NodeView& b) { return a.name < b.name; });
   return views;
 }
 

@@ -30,8 +30,12 @@ class DefaultScheduler final : public Scheduler {
       const std::vector<NodeView>& all) override;
 };
 
-/// Builds request-based node views from the API server's state — shared
-/// with the SGX-aware scheduler's device-accounting column.
-[[nodiscard]] std::vector<NodeView> request_based_views(ApiServer& api);
+/// Builds request-based node views from the API server's state, in node
+/// name order — shared with the SGX-aware scheduler's device-accounting
+/// column. When `assigned` is given, (*assigned)[i] receives the pods
+/// assigned to views[i] (the per-node read the views were summed from).
+[[nodiscard]] std::vector<NodeView> request_based_views(
+    ApiServer& api,
+    std::vector<std::vector<const PodRecord*>>* assigned = nullptr);
 
 }  // namespace sgxo::orch

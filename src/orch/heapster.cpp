@@ -1,8 +1,18 @@
 #include "orch/heapster.hpp"
 
+#include <array>
 #include <vector>
 
 namespace sgxo::orch {
+namespace {
+
+/// Heapster's tag set of a pod sample, in key order.
+std::array<tsdb::TagView, 3> pod_tags(const cluster::PodName& pod,
+                                      const cluster::NodeName& node) {
+  return {{{"nodename", node}, {"pod_name", pod}, {"type", "pod"}}};
+}
+
+}  // namespace
 
 Heapster::Heapster(sim::Simulation& sim, ApiServer& api, tsdb::Database& db,
                    Duration scrape_period, Duration retention)
@@ -27,45 +37,50 @@ void Heapster::stop() {
 void Heapster::deliver(const cluster::PodName& pod,
                        const cluster::NodeName& node, TimePoint sampled,
                        double value) {
-  tsdb::Tags tags{{"pod_name", pod}, {"nodename", node}, {"type", "pod"}};
-  db_->write(kMemoryMeasurement, tags, sampled, value);
+  const std::array<tsdb::TagView, 3> tags = pod_tags(pod, node);
+  const tsdb::Database::Sample sample{kMemoryMeasurement, tags, sampled,
+                                      value};
+  db_->write_many({&sample, 1});
 }
 
 void Heapster::scrape_once() {
   ++scrapes_;
   const TimePoint now = sim_->now();
-  // On-time samples for the whole cluster go down as one batch, taking
-  // each TSDB shard lock once per scrape instead of once per pod.
+  // One batch per node: each TSDB shard lock is taken once per node, not
+  // once per pod. Samples borrow their tag strings from `stats` and the
+  // node name, and their tag arrays from `tags`, which is reserved up
+  // front so it never reallocates under them.
+  std::vector<std::array<tsdb::TagView, 3>> tags;
   std::vector<tsdb::Database::Sample> batch;
   for (const ApiServer::NodeEntry& entry : api_->all_nodes()) {
-    for (const cluster::Kubelet::PodStats& stats :
-         entry.kubelet->pod_stats()) {
+    const cluster::NodeName& node = entry.node->name();
+    const std::vector<cluster::Kubelet::PodStats> stats =
+        entry.kubelet->pod_stats();
+    tags.clear();
+    tags.reserve(stats.size());
+    batch.clear();
+    for (const cluster::Kubelet::PodStats& stat : stats) {
       if (drop_samples_) {
         ++dropped_;
         continue;
       }
-      const double value = static_cast<double>(stats.memory_usage.count());
+      const double value = static_cast<double>(stat.memory_usage.count());
       if (sample_delay_ > Duration{}) {
         // Delayed delivery keeps the original sample timestamp, so the
         // point lands out of order — exactly what a congested collector
         // produces.
         ++delayed_;
-        const cluster::PodName pod = stats.pod;
-        const cluster::NodeName node = entry.node->name();
-        sim_->schedule_after(sample_delay_, [this, pod, node, now, value] {
-          deliver(pod, node, now, value);
-        });
+        sim_->schedule_after(sample_delay_,
+                             [this, pod = stat.pod, node, now, value] {
+                               deliver(pod, node, now, value);
+                             });
         continue;
       }
-      batch.push_back(tsdb::Database::Sample{
-          kMemoryMeasurement,
-          tsdb::Tags{{"pod_name", stats.pod},
-                     {"nodename", entry.node->name()},
-                     {"type", "pod"}},
-          now, value});
+      tags.push_back(pod_tags(stat.pod, node));
+      batch.push_back({kMemoryMeasurement, tags.back(), now, value});
     }
+    if (!batch.empty()) db_->write_many(batch);
   }
-  if (!batch.empty()) db_->write_many(batch);
   // Retention plus chunk compaction ride on the scrape cadence — the
   // simulated stand-in for a background maintenance thread.
   db_->maintain(now, retention_);

@@ -1,11 +1,20 @@
 #include "orch/sgx_probe.hpp"
 
-#include <utility>
+#include <array>
 #include <vector>
 
 #include "common/error.hpp"
 
 namespace sgxo::orch {
+namespace {
+
+/// The probe's tag set of a pod sample, in key order.
+std::array<tsdb::TagView, 2> pod_tags(const cluster::PodName& pod,
+                                      const cluster::NodeName& node) {
+  return {{{"nodename", node}, {"pod_name", pod}}};
+}
+
+}  // namespace
 
 SgxProbe::SgxProbe(sim::Simulation& sim, ApiServer::NodeEntry entry,
                    tsdb::Database& db, Duration period)
@@ -30,14 +39,27 @@ void SgxProbe::stop() {
   }
 }
 
+void SgxProbe::deliver(const cluster::PodName& pod, TimePoint sampled,
+                       double value) {
+  const std::array<tsdb::TagView, 2> tags = pod_tags(pod, node_name());
+  const tsdb::Database::Sample sample{kEpcMeasurement, tags, sampled, value};
+  db_->write_many({&sample, 1});
+}
+
 void SgxProbe::probe_once() {
   ++probes_;
   const TimePoint now = sim_->now();
   const sgx::Driver& driver = *entry_.node->driver();
   // One batch per probe cycle: every on-time sample of this node lands
-  // under its TSDB shard lock once.
+  // under its TSDB shard lock once. Samples borrow their tag strings from
+  // `pods` and the node name, and their tag arrays from `tags`, which is
+  // reserved up front so it never reallocates under them.
+  const std::vector<cluster::PodName> pods = entry_.kubelet->active_pods();
+  std::vector<std::array<tsdb::TagView, 2>> tags;
+  tags.reserve(pods.size());
   std::vector<tsdb::Database::Sample> batch;
-  for (const cluster::PodName& pod : entry_.kubelet->active_pods()) {
+  batch.reserve(pods.size());
+  for (const cluster::PodName& pod : pods) {
     Pages pages{0};
     for (const sgx::Pid pid : entry_.kubelet->pod_pids(pod)) {
       pages += driver.process_pages(pid);
@@ -47,18 +69,17 @@ void SgxProbe::probe_once() {
       continue;
     }
     const double value = static_cast<double>(pages.as_bytes().count());
-    tsdb::Tags tags{{"pod_name", pod}, {"nodename", entry_.node->name()}};
     if (sample_delay_ > Duration{}) {
       // Late delivery with the original timestamp: the point lands out of
       // order, after the scheduler may already have run without it.
       ++delayed_;
-      sim_->schedule_after(sample_delay_, [this, tags, now, value] {
-        db_->write(kEpcMeasurement, tags, now, value);
+      sim_->schedule_after(sample_delay_, [this, pod, now, value] {
+        deliver(pod, now, value);
       });
       continue;
     }
-    batch.push_back(
-        tsdb::Database::Sample{kEpcMeasurement, std::move(tags), now, value});
+    tags.push_back(pod_tags(pod, node_name()));
+    batch.push_back({kEpcMeasurement, tags.back(), now, value});
   }
   if (!batch.empty()) db_->write_many(batch);
 }

@@ -44,6 +44,9 @@ class SgxProbe {
   [[nodiscard]] std::uint64_t delayed_samples() const { return delayed_; }
 
  private:
+  /// Writes one late sample (the delayed-delivery path).
+  void deliver(const cluster::PodName& pod, TimePoint sampled, double value);
+
   sim::Simulation* sim_;
   ApiServer::NodeEntry entry_;
   tsdb::Database* db_;

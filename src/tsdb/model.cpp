@@ -9,12 +9,6 @@
 namespace sgxo::tsdb {
 namespace {
 
-// Compaction policy: adjacent sealed chunks are merged while the result
-// stays small enough that straddling queries never scan far past their
-// window.
-constexpr std::size_t kCompactTargetPoints = 4096;
-constexpr std::int64_t kCompactMaxSpanWidths = 8;
-
 // Floor division that rounds toward negative infinity, so pre-epoch
 // timestamps land in the right chunk/bucket.
 std::int64_t floor_div(std::int64_t a, std::int64_t b) {
@@ -23,17 +17,49 @@ std::int64_t floor_div(std::int64_t a, std::int64_t b) {
   return q;
 }
 
+// Appends the "k1=v1,k2=v2" rendering of `tags` to `out`.
+template <typename TagRange>
+void append_tags_key(std::string& out, const TagRange& tags) {
+  bool first = true;
+  for (const auto& [k, v] : tags) {
+    if (!first) out += ',';
+    first = false;
+    out += k;
+    out += '=';
+    out += v;
+  }
+}
+
+// Renders "measurement\ntags_key" into `buf` (its storage reused from call
+// to call) and returns the tags_key suffix: the whole buffer is the shard
+// routing string, the suffix the series key.
+std::string_view render_series(std::string& buf, std::string_view measurement,
+                               std::span<const TagView> tags) {
+  buf.assign(measurement);
+  buf += '\n';
+  append_tags_key(buf, tags);
+  return std::string_view(buf).substr(measurement.size() + 1);
+}
+
+void check_sample(const Database::Sample& sample) {
+  SGXO_CHECK_MSG(!sample.measurement.empty(),
+                 "measurement name must not be empty");
+  for (std::size_t i = 1; i < sample.tags.size(); ++i) {
+    SGXO_CHECK_MSG(sample.tags[i - 1].first < sample.tags[i].first,
+                   "sample tags must be in strictly increasing key order");
+  }
+}
+
 }  // namespace
 
 std::string tags_key(const Tags& tags) {
   std::string key;
-  for (const auto& [k, v] : tags) {
-    if (!key.empty()) key += ',';
-    key += k;
-    key += '=';
-    key += v;
-  }
+  append_tags_key(key, tags);
   return key;
+}
+
+std::vector<TagView> tag_views(const Tags& tags) {
+  return {tags.begin(), tags.end()};
 }
 
 // ---- Series ----------------------------------------------------------------
@@ -106,6 +132,9 @@ void Series::append(Point p) {
   const std::int64_t t = p.time.micros_since_epoch();
   ++size_;
   newest_us_ = std::max(newest_us_, t);
+  // Any rollup bucket the point opens ends after it, so the point itself
+  // is the only thing that can bring the drop due forward.
+  drop_due_us_ = std::min(drop_due_us_, t + 1);
   update_rollups(p);
 
   const auto insert_sorted = [&](Chunk& chunk) {
@@ -119,28 +148,79 @@ void Series::append(Point p) {
     chunk.points.insert(pos, p);
   };
 
-  // Fast path: the newest chunk covers t (in-order ingest).
+  std::size_t grown = 0;  // index of the chunk that took the point
   if (!chunks_.empty() && t >= chunks_.back().start_us &&
       t < chunks_.back().end_us) {
-    insert_sorted(chunks_.back());
-    return;
+    // Fast path: the newest chunk covers t (in-order ingest).
+    grown = chunks_.size() - 1;
+  } else {
+    // General path: the chunk whose [start, end) contains t, if any.
+    auto it = std::upper_bound(
+        chunks_.begin(), chunks_.end(), t,
+        [](std::int64_t time, const Chunk& c) { return time < c.end_us; });
+    if (it == chunks_.end() || t < it->start_us) {
+      // New aligned chunk in sorted position (`it` is the first chunk
+      // that starts after t): it forms new adjacent pairs.
+      const std::int64_t width = options_.chunk_width_us;
+      Chunk chunk;
+      chunk.start_us = floor_div(t, width) * width;
+      chunk.end_us = chunk.start_us + width;
+      chunk.points.push_back(p);
+      chunks_.insert(it, std::move(chunk));
+      refresh_compact_due();
+      return;
+    }
+    grown = static_cast<std::size_t>(it - chunks_.begin());
   }
-  // General path: the chunk whose [start, end) contains t, if any.
-  auto it = std::upper_bound(
-      chunks_.begin(), chunks_.end(), t,
-      [](std::int64_t time, const Chunk& c) { return time < c.end_us; });
-  if (it != chunks_.end() && t >= it->start_us) {
-    insert_sorted(*it);
-    return;
+  insert_sorted(chunks_[grown]);
+  // One more point leaves a pair's merge due unchanged unless it pushes
+  // the pair's total just past the size limit.
+  const auto crossed = [&](std::size_t first) {
+    return chunks_[first].points.size() + chunks_[first + 1].points.size() ==
+           kCompactTargetPoints + 1;
+  };
+  if ((grown > 0 && crossed(grown - 1)) ||
+      (grown + 1 < chunks_.size() && crossed(grown))) {
+    refresh_compact_due();
   }
-  // New aligned chunk in sorted position (`it` is the first chunk that
-  // starts after t).
-  const std::int64_t width = options_.chunk_width_us;
-  Chunk chunk;
-  chunk.start_us = floor_div(t, width) * width;
-  chunk.end_us = chunk.start_us + width;
-  chunk.points.push_back(p);
-  chunks_.insert(it, std::move(chunk));
+}
+
+std::int64_t Series::pair_compact_due(std::size_t i) const {
+  const Chunk& dst = chunks_[i];
+  const Chunk& next = chunks_[i + 1];
+  // dst ends no later than next starts, so next's end is the first
+  // sealed_before at which both are sealed.
+  const bool within =
+      dst.points.size() + next.points.size() <= kCompactTargetPoints &&
+      next.end_us - dst.start_us <=
+          kCompactMaxSpanWidths * options_.chunk_width_us;
+  return within ? next.end_us : INT64_MAX;
+}
+
+void Series::refresh_drop_due() {
+  std::int64_t due =
+      chunks_.empty()
+          ? INT64_MAX
+          : chunks_.front().points.front().time.micros_since_epoch() + 1;
+  for (std::size_t level = 0; level < kRollupLevelCount; ++level) {
+    if (rollups_[level].empty()) continue;
+    due = std::min(due,
+                   rollups_[level].front().start_us + kRollupLevelsUs[level]);
+  }
+  drop_due_us_ = due;
+}
+
+void Series::refresh_compact_due() {
+  // Chunk ends increase along the vector, so the first pair within the
+  // limits has the smallest due.
+  compact_due_us_ = INT64_MAX;
+  for (std::size_t i = 0; i + 1 < chunks_.size(); ++i) {
+    const std::int64_t due = pair_compact_due(i);
+    if (due != INT64_MAX) {
+      compact_due_us_ = due;
+      return;
+    }
+  }
 }
 
 std::vector<Point> Series::in_window(TimePoint lo, TimePoint hi) const {
@@ -201,6 +281,8 @@ std::size_t Series::drop_before(TimePoint horizon) {
     while (kept != buckets.end() && kept->start_us + width <= h) ++kept;
     buckets.erase(buckets.begin(), kept);
   }
+  refresh_drop_due();
+  refresh_compact_due();
   return dropped;
 }
 
@@ -214,7 +296,7 @@ std::size_t Series::compact(std::int64_t sealed_before_us) {
   };
   // Until the first merge every destination is the previous chunk itself,
   // so no mergeable adjacent pair means nothing to do: return before
-  // building a new chunk vector (the common case on every scrape).
+  // building a new chunk vector.
   if (std::adjacent_find(chunks_.begin(), chunks_.end(), mergeable) ==
       chunks_.end()) {
     return 0;
@@ -235,6 +317,7 @@ std::size_t Series::compact(std::int64_t sealed_before_us) {
     out.push_back(std::move(chunk));
   }
   chunks_ = std::move(out);
+  refresh_compact_due();
   return merges;
 }
 
@@ -250,10 +333,12 @@ const Series* Measurement::find_series(const Tags& tags) const {
   return it == series_.end() ? nullptr : &it->second;
 }
 
-void Measurement::append(const Tags& tags, const std::string& key, Point p) {
-  auto it = series_.find(key);
-  if (it == series_.end()) {
-    it = series_.emplace(key, Series{tags, options_}).first;
+void Measurement::append(std::string_view key, std::span<const TagView> tags,
+                         Point p) {
+  auto it = series_.lower_bound(key);
+  if (it == series_.end() || it->first != key) {
+    it = series_.emplace_hint(it, std::string(key),
+                              Series{Tags(tags.begin(), tags.end()), options_});
   }
   it->second.append(p);
   ++points_;
@@ -264,8 +349,15 @@ std::size_t Measurement::drop_before(TimePoint horizon) {
   // A series retention leaves with no points and no rollup buckets can
   // never contribute to a query again, so it is erased: every later
   // per-series walk then costs O(live series), not O(series ever written).
+  // Only series with something due are touched: drop_before on any other
+  // is a no-op (Series::drop_due_us is exact).
+  const std::int64_t h = horizon.micros_since_epoch();
   std::size_t dropped = 0;
   for (auto it = series_.begin(); it != series_.end();) {
+    if (it->second.drop_due_us() > h) {
+      ++it;
+      continue;
+    }
     dropped += it->second.drop_before(horizon);
     it = it->second.empty() ? series_.erase(it) : std::next(it);
   }
@@ -276,6 +368,7 @@ std::size_t Measurement::drop_before(TimePoint horizon) {
 std::size_t Measurement::compact(std::int64_t sealed_before_us) {
   std::size_t merges = 0;
   for (auto& [key, s] : series_) {
+    if (s.compact_due_us() > sealed_before_us) continue;
     merges += s.compact(sealed_before_us);
   }
   return merges;
@@ -292,70 +385,68 @@ Database::Database(DatabaseConfig config)
   config_.shards = shards_.size();
 }
 
-std::size_t Database::route(const std::string& measurement,
-                            const std::string& key) const {
+std::size_t Database::route(std::string_view routing) const {
   if (shards_.size() == 1) return 0;
-  std::string routing;
-  routing.reserve(measurement.size() + 1 + key.size());
-  routing += measurement;
-  routing += '\n';
-  routing += key;
   return static_cast<std::size_t>(fnv1a(routing) % shards_.size());
 }
 
 std::size_t Database::shard_of(const std::string& measurement,
                                const Tags& tags) const {
-  return route(measurement, tags_key(tags));
+  std::string routing;
+  render_series(routing, measurement, tag_views(tags));
+  return route(routing);
 }
 
-Measurement& Database::measurement_in(Shard& shard, const std::string& name) {
+Measurement& Database::measurement_in(Shard& shard, std::string_view name) {
   auto it = shard.measurements.find(name);
   if (it == shard.measurements.end()) {
-    it = shard.measurements.emplace(name, Measurement{name, series_options_})
+    it = shard.measurements
+             .emplace(std::string(name),
+                      Measurement{std::string(name), series_options_})
              .first;
   }
   return it->second;
 }
 
-bool Database::write(const std::string& measurement, const Tags& tags,
+bool Database::write(std::string_view measurement, const Tags& tags,
                      TimePoint time, double value) {
-  SGXO_CHECK_MSG(!measurement.empty(), "measurement name must not be empty");
-  const std::string key = tags_key(tags);
-  Shard& shard = shards_[route(measurement, key)];
-  std::lock_guard<std::mutex> lock(shard.mu);
-  if (write_fault_ || shard.write_fault) {
-    ++shard.failed_writes;
-    return false;
-  }
-  measurement_in(shard, measurement).append(tags, key, Point{time, value});
-  return true;
+  const std::vector<TagView> views = tag_views(tags);
+  const Sample sample{measurement, views, time, value};
+  return write_many({&sample, 1}) == 1;
 }
 
-std::size_t Database::write_many(const std::vector<Sample>& batch) {
-  // Group by shard so each lock is taken once per batch; a stable pass
-  // preserves same-shard sample order (equal-timestamp writes keep their
-  // sequential insertion order).
-  std::vector<std::vector<std::pair<const Sample*, std::string>>> by_shard(
-      shards_.size());
+std::size_t Database::write_many(std::span<const Sample> batch) {
+  // Every sample is checked before any lands, and routed up front when
+  // there is more than one shard; then each shard takes its samples in
+  // batch order under one lock acquisition.
+  std::string buf;  // "measurement\ntags_key", storage reused per sample
+  std::vector<std::size_t> routed;
+  if (shards_.size() > 1) routed.reserve(batch.size());
   for (const Sample& sample : batch) {
-    SGXO_CHECK_MSG(!sample.measurement.empty(),
-                   "measurement name must not be empty");
-    std::string key = tags_key(sample.tags);
-    const std::size_t idx = route(sample.measurement, key);
-    by_shard[idx].emplace_back(&sample, std::move(key));
+    check_sample(sample);
+    if (shards_.size() > 1) {
+      render_series(buf, sample.measurement, sample.tags);
+      routed.push_back(route(buf));
+    }
   }
   std::size_t accepted = 0;
   for (std::size_t idx = 0; idx < shards_.size(); ++idx) {
-    if (by_shard[idx].empty()) continue;
     Shard& shard = shards_[idx];
     std::lock_guard<std::mutex> lock(shard.mu);
-    for (const auto& [sample, key] : by_shard[idx]) {
+    Measurement* m = nullptr;
+    for (std::size_t i = 0; i < batch.size(); ++i) {
+      if (!routed.empty() && routed[i] != idx) continue;
+      const Sample& sample = batch[i];
       if (write_fault_ || shard.write_fault) {
         ++shard.failed_writes;
         continue;
       }
-      measurement_in(shard, sample->measurement)
-          .append(sample->tags, key, Point{sample->time, sample->value});
+      const std::string_view key =
+          render_series(buf, sample.measurement, sample.tags);
+      if (m == nullptr || m->name() != sample.measurement) {
+        m = &measurement_in(shard, sample.measurement);
+      }
+      m->append(key, sample.tags, Point{sample.time, sample.value});
       ++accepted;
     }
   }
@@ -435,8 +526,8 @@ void Database::for_each_series(
   std::vector<std::unique_lock<std::mutex>> locks;
   locks.reserve(shards_.size());
   struct Cursor {
-    std::map<std::string, Series>::const_iterator it;
-    std::map<std::string, Series>::const_iterator end;
+    Measurement::SeriesMap::const_iterator it;
+    Measurement::SeriesMap::const_iterator end;
   };
   std::vector<Cursor> cursors;
   for (const Shard& shard : shards_) {

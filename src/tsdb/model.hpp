@@ -21,7 +21,10 @@
 #include <map>
 #include <mutex>
 #include <optional>
+#include <span>
 #include <string>
+#include <string_view>
+#include <utility>
 #include <vector>
 
 #include "common/time.hpp"
@@ -32,9 +35,17 @@ namespace sgxo::tsdb {
 /// equal and can key series directly.
 using Tags = std::map<std::string, std::string>;
 
+/// One borrowed tag (key, value). The write path takes tag sets as spans
+/// of these, in strictly increasing key order (the order of Tags), so a
+/// sample never has to build a Tags map of its own.
+using TagView = std::pair<std::string_view, std::string_view>;
+
 /// Canonical "k1=v1,k2=v2" rendering (used for diagnostics and as a stable
 /// grouping key).
 [[nodiscard]] std::string tags_key(const Tags& tags);
+
+/// Borrowed view of a tag set, in key order. Valid while `tags` lives.
+[[nodiscard]] std::vector<TagView> tag_views(const Tags& tags);
 
 struct Point {
   TimePoint time;
@@ -63,6 +74,13 @@ struct RollupBucket {
 inline constexpr std::int64_t kRollupLevelsUs[] = {10'000'000, 60'000'000};
 inline constexpr std::size_t kRollupLevelCount =
     sizeof(kRollupLevelsUs) / sizeof(kRollupLevelsUs[0]);
+
+/// Compaction policy: adjacent sealed chunks are merged while the result
+/// holds at most kCompactTargetPoints points and spans at most
+/// kCompactMaxSpanWidths chunk widths, so straddling queries never scan
+/// far past their window.
+inline constexpr std::size_t kCompactTargetPoints = 4096;
+inline constexpr std::int64_t kCompactMaxSpanWidths = 8;
 
 /// Per-series storage options, inherited from the owning Database.
 struct SeriesOptions {
@@ -154,6 +172,19 @@ class Series {
   /// Returns the number of merges performed.
   std::size_t compact(std::int64_t sealed_before_us);
 
+  /// The earliest horizon (µs) at which drop_before would drop anything:
+  /// the oldest point's time + 1, or the oldest bucket's start + its
+  /// level width, whichever is first (INT64_MAX when the series is
+  /// empty). drop_before(h) changes the series iff h >= this.
+  [[nodiscard]] std::int64_t drop_due_us() const { return drop_due_us_; }
+  /// The earliest sealed_before_us at which compact would merge anything:
+  /// the smallest end of the later chunk of an adjacent pair within the
+  /// size and span limits (INT64_MAX when no pair is). compact(s) merges
+  /// iff s >= this.
+  [[nodiscard]] std::int64_t compact_due_us() const {
+    return compact_due_us_;
+  }
+
  private:
   Tags tags_;
   SeriesOptions options_;
@@ -161,8 +192,15 @@ class Series {
   std::vector<RollupBucket> rollups_[kRollupLevelCount];  // sorted by start
   std::size_t size_ = 0;
   std::int64_t newest_us_ = INT64_MIN;
+  std::int64_t drop_due_us_ = INT64_MAX;
+  std::int64_t compact_due_us_ = INT64_MAX;
 
   void update_rollups(const Point& p);
+  /// Merge due of the pair (chunks_[i], chunks_[i + 1]): the later
+  /// chunk's end when the pair is within the limits, else INT64_MAX.
+  [[nodiscard]] std::int64_t pair_compact_due(std::size_t i) const;
+  void refresh_drop_due();
+  void refresh_compact_due();
 };
 
 /// A named measurement (e.g. "sgx/epc", "memory/usage") holding its series.
@@ -183,11 +221,12 @@ class Measurement {
 
   [[nodiscard]] const Series* find_series(const Tags& tags) const;
 
-  /// Appends one point to the series of `tags` (created on first use;
-  /// `key` is tags_key(tags), which the write path already computed for
-  /// shard routing), keeping the point counter and the newest time in
-  /// sync. The only write path: no caller gets a mutable Series.
-  void append(const Tags& tags, const std::string& key, Point p);
+  /// Appends one point to the series keyed `key` (the tags_key rendering
+  /// of `tags`, which the write path already built for shard routing),
+  /// keeping the point counter and the newest time in sync. The series
+  /// and its owning Tags are created on first use only. The only write
+  /// path: no caller gets a mutable Series.
+  void append(std::string_view key, std::span<const TagView> tags, Point p);
 
   /// Visits every series (const), in tags_key order.
   template <typename F>
@@ -204,7 +243,7 @@ class Measurement {
     }
   }
 
-  using SeriesMap = std::map<std::string, Series>;
+  using SeriesMap = std::map<std::string, Series, std::less<>>;
   [[nodiscard]] SeriesMap::const_iterator series_begin() const {
     return series_.begin();
   }
@@ -212,15 +251,18 @@ class Measurement {
     return series_.end();
   }
 
-  /// Series::drop_before on every series, then erases each series left
-  /// empty(). Returns how many points were dropped.
+  /// Series::drop_before on every series it would change (drop_due_us()
+  /// <= horizon), then erases each series left empty(). Returns how many
+  /// points were dropped.
   std::size_t drop_before(TimePoint horizon);
+  /// Series::compact on every series with a merge due (compact_due_us()
+  /// <= sealed_before_us). Returns the number of merges.
   std::size_t compact(std::int64_t sealed_before_us);
 
  private:
   std::string name_;
   SeriesOptions options_;
-  std::map<std::string, Series> series_;  // keyed by tags_key
+  SeriesMap series_;  // keyed by tags_key
   std::size_t points_ = 0;
   std::int64_t newest_us_ = INT64_MIN;
 };
@@ -259,21 +301,30 @@ class Database {
   [[nodiscard]] std::size_t shard_of(const std::string& measurement,
                                      const Tags& tags) const;
 
-  /// Inserts one sample. Returns false (and drops the sample) while a
-  /// write fault — global or on the routed shard — is active.
-  bool write(const std::string& measurement, const Tags& tags, TimePoint time,
-             double value);
-
+  /// One sample on the write path. It borrows its measurement name and
+  /// tag strings: they must outlive the write_many call, nothing after.
   struct Sample {
-    std::string measurement;
-    Tags tags;
+    std::string_view measurement;
+    /// Strictly increasing keys (the order of Tags); write_many rejects
+    /// any other order, so one tag set always names one series.
+    std::span<const TagView> tags;
     TimePoint time;
     double value = 0.0;
   };
-  /// Batch insert: groups samples by shard and takes each shard lock once.
-  /// Relative order of samples routed to the same shard is preserved.
-  /// Returns how many samples were accepted.
-  std::size_t write_many(const std::vector<Sample>& batch);
+  /// The write path: renders each sample's series key into one reused
+  /// buffer, takes each shard lock once and appends there; the owning
+  /// Tags are built only when a sample creates its series. Relative order
+  /// of samples routed to the same shard is preserved. Samples routed to
+  /// a shard under a write fault (global or on that shard) are dropped and
+  /// counted. Returns how many samples were accepted. Throws
+  /// ContractViolation, before any sample of the batch lands, on an empty
+  /// measurement name or tags out of key order.
+  std::size_t write_many(std::span<const Sample> batch);
+
+  /// write_many of one sample built from an owning tag set. Returns false
+  /// (and drops the sample) while a write fault is active.
+  bool write(std::string_view measurement, const Tags& tags, TimePoint time,
+             double value);
 
   [[nodiscard]] bool has_measurement(const std::string& name) const;
   [[nodiscard]] std::vector<std::string> measurement_names() const;
@@ -352,16 +403,16 @@ class Database {
  private:
   struct Shard {
     mutable std::mutex mu;
-    std::map<std::string, Measurement> measurements;
+    std::map<std::string, Measurement, std::less<>> measurements;
     bool write_fault = false;
     std::uint64_t failed_writes = 0;
     std::uint64_t compactions = 0;
     std::optional<TimePoint> read_horizon;
   };
 
-  [[nodiscard]] std::size_t route(const std::string& measurement,
-                                  const std::string& key) const;
-  Measurement& measurement_in(Shard& shard, const std::string& name);
+  /// Shard of a rendered "measurement\ntags_key" routing string.
+  [[nodiscard]] std::size_t route(std::string_view routing) const;
+  Measurement& measurement_in(Shard& shard, std::string_view name);
 
   DatabaseConfig config_;
   SeriesOptions series_options_;

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <string>
 #include <utility>
 #include <vector>
@@ -74,7 +75,7 @@ TEST(Series, DropBeforeRemovesOldPoints) {
 
 /// Measurement::append with the tags_key the write path would pass.
 void append(Measurement& m, const Tags& tags, Point p) {
-  m.append(tags, tags_key(tags), p);
+  m.append(tags_key(tags), tag_views(tags), p);
 }
 
 TEST(Measurement, SeriesIdentityByTags) {
@@ -396,10 +397,13 @@ TEST(Database, ForEachSeriesMergesShardsInCanonicalOrder) {
 
 TEST(Database, WriteManyGroupsByShardAndCounts) {
   Database db{4};
+  std::vector<std::string> ids;
+  for (int i = 0; i < 5; ++i) ids.push_back(std::to_string(i));
+  std::vector<std::array<TagView, 1>> tags;
+  for (const std::string& id : ids) tags.push_back({{{"s", id}}});
   std::vector<Database::Sample> batch;
   for (int i = 0; i < 20; ++i) {
-    batch.push_back({"m", {{"s", std::to_string(i % 5)}}, at(i),
-                     static_cast<double>(i)});
+    batch.push_back({"m", tags[i % 5], at(i), static_cast<double>(i)});
   }
   EXPECT_EQ(db.write_many(batch), 20u);
   EXPECT_EQ(db.total_points(), 20u);
