@@ -431,22 +431,34 @@ void Kubelet::handle_node_failure() {
   }
 }
 
+// The stats below read each pod's own container ids: every container of
+// an active pod is recorded in ActivePod::containers when started (in id
+// order) and killed only by teardown, which also drops the pod.
+
 std::vector<Kubelet::PodStats> Kubelet::pod_stats() const {
   std::vector<PodStats> stats;
   stats.reserve(active_.size());
   for (const auto& [name, pod] : active_) {
-    stats.push_back(
-        PodStats{name, node_->runtime().pod_memory_usage(name)});
+    Bytes usage{};
+    for (const ContainerId id : pod.containers) {
+      usage += node_->runtime().info(id).memory_usage;
+    }
+    stats.push_back(PodStats{name, usage});
   }
   return stats;
 }
 
-std::vector<sgx::Pid> Kubelet::pod_pids(const PodName& pod) const {
+void Kubelet::for_each_pod_pids(
+    const std::function<void(const PodName&, std::span<const sgx::Pid>)>&
+        visit) const {
   std::vector<sgx::Pid> pids;
-  for (const ContainerId id : node_->runtime().containers_of(pod)) {
-    pids.push_back(node_->runtime().info(id).pid);
+  for (const auto& [name, pod] : active_) {
+    pids.clear();
+    for (const ContainerId id : pod.containers) {
+      pids.push_back(node_->runtime().info(id).pid);
+    }
+    visit(name, pids);
   }
-  return pids;
 }
 
 std::vector<PodName> Kubelet::active_pods() const {

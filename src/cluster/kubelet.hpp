@@ -18,6 +18,7 @@
 #include <functional>
 #include <map>
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -122,9 +123,15 @@ class Kubelet {
   };
   [[nodiscard]] std::vector<PodStats> pod_stats() const;
 
-  /// Pids of a running pod's containers — the SGX probe feeds these to the
-  /// driver's per-process ioctl.
-  [[nodiscard]] std::vector<sgx::Pid> pod_pids(const PodName& pod) const;
+  /// The per-process EPC walk of the SGX probe and the contention
+  /// monitor: `visit(pod, pids)` for every active pod in name order, with
+  /// the pids of the pod's containers in start order — what the driver's
+  /// per-process ioctl is asked about. `pod` is the kubelet's own copy of
+  /// the name (valid until the pod leaves this node); `pids` lives only
+  /// for the call.
+  void for_each_pod_pids(
+      const std::function<void(const PodName&, std::span<const sgx::Pid>)>&
+          visit) const;
   [[nodiscard]] std::vector<PodName> active_pods() const;
   [[nodiscard]] std::size_t active_pod_count() const { return active_.size(); }
 

@@ -1,6 +1,7 @@
 #include "core/contention_monitor.hpp"
 
 #include <algorithm>
+#include <span>
 
 namespace sgxo::core {
 
@@ -66,15 +67,16 @@ void ContentionMonitor::sample_once() {
     if (node_report.contended) {
       // Rank resident pods by EPC footprint via the per-process ioctl,
       // biggest hog first.
-      for (const cluster::PodName& pod : entry.kubelet->active_pods()) {
-        Pages pages{0};
-        for (const sgx::Pid pid : entry.kubelet->pod_pids(pod)) {
-          pages += driver.process_pages(pid);
-        }
-        if (pages.count() == 0) continue;
-        node_report.candidates.push_back(
-            ContentionReport::Candidate{pod, pages});
-      }
+      entry.kubelet->for_each_pod_pids(
+          [&](const cluster::PodName& pod, std::span<const sgx::Pid> pids) {
+            Pages pages{0};
+            for (const sgx::Pid pid : pids) {
+              pages += driver.process_pages(pid);
+            }
+            if (pages.count() == 0) return;
+            node_report.candidates.push_back(
+                ContentionReport::Candidate{pod, pages});
+          });
       std::sort(node_report.candidates.begin(), node_report.candidates.end(),
                 [](const ContentionReport::Candidate& a,
                    const ContentionReport::Candidate& b) {

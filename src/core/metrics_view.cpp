@@ -1,5 +1,7 @@
 #include "core/metrics_view.hpp"
 
+#include <utility>
+
 #include "common/error.hpp"
 
 namespace sgxo::core {
@@ -66,15 +68,16 @@ tsdb::ql::ResultSet ClusterMetrics::run(const tsdb::ql::PreparedQuery& query,
 
 std::vector<ClusterMetrics::PodUsage> ClusterMetrics::per_pod(
     const tsdb::ql::PreparedQuery& query, TimePoint now) const {
-  const tsdb::ql::ResultSet result = run(query, now);
+  // The result is ours: its tag strings move into the usages.
+  tsdb::ql::ResultSet result = run(query, now);
   std::vector<PodUsage> usages;
   usages.reserve(result.rows.size());
-  for (const tsdb::ql::Row& row : result.rows) {
+  for (tsdb::ql::Row& row : result.rows) {
     PodUsage usage;
     const auto pod_it = row.tags.find("pod_name");
     const auto node_it = row.tags.find("nodename");
-    usage.pod = pod_it == row.tags.end() ? "" : pod_it->second;
-    usage.node = node_it == row.tags.end() ? "" : node_it->second;
+    if (pod_it != row.tags.end()) usage.pod = std::move(pod_it->second);
+    if (node_it != row.tags.end()) usage.node = std::move(node_it->second);
     usage.usage =
         Bytes{static_cast<std::uint64_t>(row.field("usage"))};
     usages.push_back(std::move(usage));

@@ -1,7 +1,7 @@
 #include "core/sgx_scheduler.hpp"
 
 #include <algorithm>
-#include <set>
+#include <string_view>
 
 #include "orch/default_scheduler.hpp"
 
@@ -31,6 +31,22 @@ SgxAwareScheduler::SgxAwareScheduler(sim::Simulation& sim,
   enable_shared_state(config_.shared_state);
 }
 
+void SgxAwareScheduler::begin_cycle() {
+  // Graceful degradation: a metrics pipeline that has stopped producing
+  // samples (probe outage, TSDB write failures, stale replica) must not
+  // be trusted — a window full of dead pods' last samples, with every
+  // live pod missing, both over- and under-estimates. Past the staleness
+  // threshold this cycle schedules on declared requests alone, exactly
+  // like the Kubernetes default scheduler (the safe baseline).
+  cycle_degraded_ = false;
+  if (config_.stale_metrics_threshold > Duration{}) {
+    const std::optional<Duration> age = metrics_.staleness(sim().now());
+    cycle_degraded_ =
+        age.has_value() && *age > config_.stale_metrics_threshold;
+  }
+  if (cycle_degraded_) ++degraded_cycles_;
+}
+
 std::vector<orch::NodeView> SgxAwareScheduler::collect_views() {
   // Start from the request-based view: capacities plus the device-plugin
   // accounting column (epc_requested) and request-based usage. Its one
@@ -38,57 +54,62 @@ std::vector<orch::NodeView> SgxAwareScheduler::collect_views() {
   std::vector<std::vector<const orch::PodRecord*>> assigned;
   std::vector<orch::NodeView> views =
       orch::request_based_views(api(), &assigned);
+  if (cycle_degraded_) return views;
 
   const TimePoint now = sim().now();
+  const std::vector<ClusterMetrics::PodUsage> epc_measured =
+      metrics_.epc_per_pod(now);
+  const std::vector<ClusterMetrics::PodUsage> mem_measured =
+      metrics_.memory_per_pod(now);
 
-  // Graceful degradation: a metrics pipeline that has stopped producing
-  // samples (probe outage, TSDB write failures, stale replica) must not
-  // be trusted — a window full of dead pods' last samples, with every
-  // live pod missing, both over- and under-estimates. Past the staleness
-  // threshold this cycle schedules on declared requests alone, exactly
-  // like the Kubernetes default scheduler (the safe baseline).
-  if (config_.stale_metrics_threshold > Duration{}) {
-    const std::optional<Duration> age = metrics_.staleness(now);
-    if (age.has_value() && *age > config_.stale_metrics_threshold) {
-      ++degraded_cycles_;
-      return views;
-    }
-  }
-  const auto epc_measured = metrics_.epc_per_pod(now);
-  const auto mem_measured = metrics_.memory_per_pod(now);
-
-  for (std::size_t i = 0; i < views.size(); ++i) {
-    orch::NodeView& view = views[i];
-    // Replace the request-based estimate with measurement-informed usage.
+  // Replace the request-based estimate with measurement-informed usage:
+  // each query row is charged to its node's view once (views are sorted
+  // by name; rows of nodes without a view are ignored).
+  struct Measured {
     Bytes memory_used{};
     Pages epc_used{};
-    std::set<cluster::PodName> measured_pods;
-
-    for (const ClusterMetrics::PodUsage& usage : epc_measured) {
-      if (usage.node != view.name) continue;
-      epc_used += Pages::ceil_from(usage.usage);
-      measured_pods.insert(usage.pod);
+    std::vector<std::string_view> pods;
+  };
+  std::vector<Measured> measured(views.size());
+  const auto view_of = [&](const cluster::NodeName& node) -> Measured* {
+    const auto it = std::lower_bound(
+        views.begin(), views.end(), node,
+        [](const orch::NodeView& view, const cluster::NodeName& name) {
+          return view.name < name;
+        });
+    if (it == views.end() || it->name != node) return nullptr;
+    return &measured[static_cast<std::size_t>(it - views.begin())];
+  };
+  for (const ClusterMetrics::PodUsage& usage : epc_measured) {
+    if (Measured* node = view_of(usage.node)) {
+      node->epc_used += Pages::ceil_from(usage.usage);
+      node->pods.push_back(usage.pod);
     }
-    for (const ClusterMetrics::PodUsage& usage : mem_measured) {
-      if (usage.node != view.name) continue;
-      memory_used += usage.usage;
-      measured_pods.insert(usage.pod);
+  }
+  for (const ClusterMetrics::PodUsage& usage : mem_measured) {
+    if (Measured* node = view_of(usage.node)) {
+      node->memory_used += usage.usage;
+      node->pods.push_back(usage.pod);
     }
+  }
 
+  for (std::size_t i = 0; i < views.size(); ++i) {
+    Measured& node = measured[i];
+    std::sort(node.pods.begin(), node.pods.end());
     // Assigned pods not yet visible in the window contribute their
     // declared requests — "combining the two kinds of data" (§IV).
     for (const orch::PodRecord* record : assigned[i]) {
-      if (measured_pods.find(record->spec.name) != measured_pods.end()) {
+      if (std::binary_search(node.pods.begin(), node.pods.end(),
+                             std::string_view{record->spec.name})) {
         continue;
       }
       const cluster::ResourceAmounts& request = record->requests;
-      memory_used += request.memory;
-      epc_used += request.epc_pages;
+      node.memory_used += request.memory;
+      node.epc_used += request.epc_pages;
     }
-
-    view.memory_used = memory_used;
-    view.epc_used = epc_used;
-    // view.epc_requested stays request-based: it mirrors the device
+    views[i].memory_used = node.memory_used;
+    views[i].epc_used = node.epc_used;
+    // views[i].epc_requested stays request-based: it mirrors the device
     // plugin's hard page accounting.
   }
   return views;

@@ -77,6 +77,10 @@ class SgxAwareScheduler final : public orch::Scheduler {
   [[nodiscard]] static std::string default_name(PlacementPolicy policy);
 
  protected:
+  /// The O(1) staleness check, on every cycle (idle ones included): a
+  /// stale window counts the cycle as degraded, and its views (if any pod
+  /// needs them) fall back to declared requests.
+  void begin_cycle() override;
   [[nodiscard]] std::vector<orch::NodeView> collect_views() override;
   [[nodiscard]] std::optional<cluster::NodeName> select_node(
       const orch::PodRecord& pod,
@@ -95,6 +99,8 @@ class SgxAwareScheduler final : public orch::Scheduler {
   ClusterMetrics metrics_;
   std::uint64_t preemptions_ = 0;
   std::uint64_t degraded_cycles_ = 0;
+  /// This cycle's staleness verdict (set by begin_cycle).
+  bool cycle_degraded_ = false;
 };
 
 }  // namespace sgxo::core

@@ -218,7 +218,7 @@ std::size_t Scheduler::run_once() {
   if (crashed_) return 0;
 
   ++cycles_;
-  std::vector<NodeView> views = collect_views();
+  begin_cycle();
   std::size_t bound_this_cycle = 0;
   bool unschedulable_reported = false;
 
@@ -244,9 +244,13 @@ std::size_t Scheduler::run_once() {
   for (const PodRecord* record : pulled) {
     snapshot.push_back(PendingSnapshot{record, record->resource_version});
   }
+  // The views are built by the first pod that needs them. The pull and the
+  // backoff skips before it only read, so these are the views a build at
+  // the start of the cycle would have produced.
+  std::vector<NodeView> views;
+  bool views_built = false;
   InfeasibleShapes infeasible;
   std::vector<NodeView> feasible;
-  feasible.reserve(views.size());
   for (const PendingSnapshot& pending : snapshot) {
     const PodRecord& record = *pending.record;
     const cluster::PodName& pod_name = record.spec.name;
@@ -258,6 +262,12 @@ std::size_t Scheduler::run_once() {
         ++backoff_skips_;
         continue;  // still backing off — never blocks younger pods
       }
+    }
+
+    if (!views_built) {
+      views = collect_views();
+      views_built = true;
+      feasible.reserve(views.size());
     }
 
     // A pod dominated by a shape that already fit nowhere this cycle is

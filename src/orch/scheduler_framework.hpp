@@ -5,7 +5,10 @@
 // pods FCFS, build a resource view of every schedulable node, filter
 // infeasible job-node combinations (hardware compatibility, saturation),
 // let the concrete placement policy pick a node, and bind. Pods that fit
-// nowhere stay in the persistent pending queue for the next cycle. Within
+// nowhere stay in the persistent pending queue for the next cycle. The
+// views are built when the cycle's first pod reaches the feasibility
+// check, so a cycle with nothing pending (or only backing-off pods)
+// reads no node list and no metrics. Within
 // a cycle, a pod whose request dominates one that already fit nowhere
 // (same SGX flag and node selector) is known infeasible without a fits()
 // call: views only lose capacity until the cycle ends.
@@ -135,8 +138,10 @@ class Scheduler {
   /// Capped exponential bind backoff (off by default): a pod that failed
   /// placement waits `base` before its next attempt, doubling per failure
   /// up to `cap`, and resets on a successful bind. Under fault churn this
-  /// keeps repeatedly-unschedulable pods from being re-evaluated (views,
-  /// feasibility, TSDB queries) every single cycle; it takes precedence
+  /// keeps repeatedly-unschedulable pods from being re-evaluated every
+  /// single cycle: a backing-off pod gets no feasibility check, and a
+  /// cycle whose every pending pod is backing off builds no views (so a
+  /// metrics-driven scheduler runs no TSDB query). It takes precedence
   /// over strict FCFS for backed-off pods (they are skipped, not blocking).
   void set_bind_backoff(Duration base, Duration cap);
   void disable_bind_backoff();
@@ -190,7 +195,14 @@ class Scheduler {
   [[nodiscard]] Health health() const;
 
  protected:
+  /// Called once per cycle, before the pending pull, whether or not any
+  /// pod turns out to need a view. Default: nothing.
+  virtual void begin_cycle() {}
+
   /// Builds this cycle's per-node views (capacities + usage estimates).
+  /// Called at most once per cycle, when the first pod that is not
+  /// backing off reaches the feasibility check; never in a cycle that
+  /// has no such pod.
   [[nodiscard]] virtual std::vector<NodeView> collect_views() = 0;
 
   /// Picks a node for `pod` among `feasible` (all already pass fits()).

@@ -1,6 +1,7 @@
 #include "orch/sgx_probe.hpp"
 
 #include <array>
+#include <span>
 #include <vector>
 
 #include "common/error.hpp"
@@ -52,21 +53,20 @@ void SgxProbe::probe_once() {
   const sgx::Driver& driver = *entry_.node->driver();
   // One batch per probe cycle: every on-time sample of this node lands
   // under its TSDB shard lock once. Samples borrow their tag strings from
-  // `pods` and the node name, and their tag arrays from `tags`, which is
-  // reserved up front so it never reallocates under them.
-  const std::vector<cluster::PodName> pods = entry_.kubelet->active_pods();
+  // the kubelet's pod names and the node name, and their tag arrays from
+  // `tags`, which is reserved up front so it never reallocates under them.
+  const cluster::Kubelet& kubelet = *entry_.kubelet;
   std::vector<std::array<tsdb::TagView, 2>> tags;
-  tags.reserve(pods.size());
+  tags.reserve(kubelet.active_pod_count());
   std::vector<tsdb::Database::Sample> batch;
-  batch.reserve(pods.size());
-  for (const cluster::PodName& pod : pods) {
+  batch.reserve(kubelet.active_pod_count());
+  kubelet.for_each_pod_pids([&](const cluster::PodName& pod,
+                                std::span<const sgx::Pid> pids) {
     Pages pages{0};
-    for (const sgx::Pid pid : entry_.kubelet->pod_pids(pod)) {
-      pages += driver.process_pages(pid);
-    }
+    for (const sgx::Pid pid : pids) pages += driver.process_pages(pid);
     if (drop_samples_) {
       ++dropped_;
-      continue;
+      return;
     }
     const double value = static_cast<double>(pages.as_bytes().count());
     if (sample_delay_ > Duration{}) {
@@ -76,11 +76,11 @@ void SgxProbe::probe_once() {
       sim_->schedule_after(sample_delay_, [this, pod, now, value] {
         deliver(pod, now, value);
       });
-      continue;
+      return;
     }
     tags.push_back(pod_tags(pod, node_name()));
     batch.push_back({kEpcMeasurement, tags.back(), now, value});
-  }
+  });
   if (!batch.empty()) db_->write_many(batch);
 }
 

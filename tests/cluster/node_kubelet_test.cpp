@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <span>
+#include <vector>
 
 #include "cluster/kubelet.hpp"
 #include "cluster/node.hpp"
@@ -224,8 +226,64 @@ TEST_F(KubeletFixture, PodPidsListed) {
   kubelet_.admit_pod(sgx_pod("p", Pages{100}, Pages{100}.as_bytes(),
                              Duration::seconds(60)));
   sim_.run_until(TimePoint::epoch() + Duration::seconds(10));
-  EXPECT_EQ(kubelet_.pod_pids("p").size(), 1u);
+  std::vector<PodName> visited;
+  kubelet_.for_each_pod_pids(
+      [&](const PodName& pod, std::span<const sgx::Pid> pids) {
+        visited.push_back(pod);
+        EXPECT_EQ(pids.size(), 1u);
+      });
+  EXPECT_EQ(visited, std::vector<PodName>{"p"});
   EXPECT_EQ(kubelet_.active_pods(), std::vector<PodName>{"p"});
+}
+
+TEST_F(KubeletFixture, PodStatsAndPidsReadEachPodsOwnContainers) {
+  // Two-container pods, started one after another, with an evicted and a
+  // finished pod in between: each active pod's stats and pids are those
+  // of its own containers only, as the runtime reports them.
+  PodSpec sidecar = standard_pod("b-sidecar", 1_GiB, 1_GiB,
+                                 Duration::seconds(60));
+  sidecar.containers.push_back(sidecar.containers.front());
+  sidecar.containers.back().name = "sidecar";
+  kubelet_.admit_pod(sidecar);
+  kubelet_.admit_pod(standard_pod("short", 1_GiB, 1_GiB,
+                                  Duration::seconds(2)));
+  kubelet_.admit_pod(standard_pod("evicted", 1_GiB, 1_GiB,
+                                  Duration::seconds(60)));
+  PodSpec enclave = sgx_pod("a-enclave", Pages{100}, Pages{100}.as_bytes(),
+                            Duration::seconds(60));
+  enclave.containers.push_back(enclave.containers.front());
+  enclave.containers.back().name = "second";
+  kubelet_.admit_pod(enclave);
+  sim_.run_until(TimePoint::epoch() + Duration::seconds(10));
+  kubelet_.evict_pod("evicted");
+
+  const std::vector<PodName> active{"a-enclave", "b-sidecar"};
+  ASSERT_EQ(kubelet_.active_pods(), active);
+  const ContainerRuntime& runtime = node_.runtime();
+  const auto stats = kubelet_.pod_stats();
+  ASSERT_EQ(stats.size(), 2u);
+  for (const Kubelet::PodStats& stat : stats) {
+    EXPECT_EQ(stat.memory_usage, runtime.pod_memory_usage(stat.pod))
+        << stat.pod;
+  }
+  EXPECT_EQ(stats[1].memory_usage, 1_GiB);
+  std::map<PodName, std::vector<sgx::Pid>> expected;
+  for (const PodName& pod : active) {
+    for (const ContainerId id : runtime.containers_of(pod)) {
+      expected[pod].push_back(runtime.info(id).pid);
+    }
+    EXPECT_EQ(expected[pod].size(), 2u) << pod;
+  }
+  // The evicted and the finished pod are no longer active: not visited.
+  std::vector<PodName> visited;
+  kubelet_.for_each_pod_pids(
+      [&](const PodName& pod, std::span<const sgx::Pid> pids) {
+        visited.push_back(pod);
+        EXPECT_EQ(std::vector<sgx::Pid>(pids.begin(), pids.end()),
+                  expected[pod])
+            << pod;
+      });
+  EXPECT_EQ(visited, active);
 }
 
 TEST_F(KubeletFixture, DuplicateAdmissionRejected) {

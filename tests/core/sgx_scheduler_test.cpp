@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include "exp/fixture.hpp"
+#include "sim/fault.hpp"
 
 namespace sgxo::core {
 namespace {
@@ -172,6 +173,78 @@ TEST(SgxScheduler, MetricsWindowConfigurable) {
   exp::SimulatedCluster cluster{config};
   auto& scheduler = cluster.add_sgx_scheduler(PlacementPolicy::kBinpack);
   EXPECT_EQ(scheduler.metrics().window(), Duration::seconds(40));
+}
+
+TEST(SgxScheduler, IdleCycleRunsNoMetricsQuery) {
+  // Views (and with them the Listing-1 queries) are built only when a
+  // pending pod reaches the feasibility check: a cycle with an empty
+  // queue leaves the last query's diagnostics as they were, although the
+  // TSDB keeps gaining samples a query would have scanned.
+  exp::SimulatedCluster cluster;
+  auto& scheduler = cluster.add_sgx_scheduler(PlacementPolicy::kBinpack);
+  cluster.api().set_default_scheduler(scheduler.name());
+  cluster.start_monitoring();
+  cluster.api().submit(sgx_pod("first", Pages{1000},
+                               Pages{1000}.as_bytes(), Duration::hours(1)));
+  cluster.sim().run_until(TimePoint::epoch() + Duration::minutes(1));
+  // Bound in a cycle that queried a window holding `first`'s samples.
+  cluster.api().submit(sgx_pod("second", Pages{1000},
+                               Pages{1000}.as_bytes(), Duration::hours(1)));
+  cluster.sim().run_until(TimePoint::epoch() + Duration::seconds(66));
+  ASSERT_FALSE(cluster.api().pod("second").node.empty());
+  const ClusterMetrics::QueryDiagnostics last = scheduler.metrics()
+                                                    .last_query_stats();
+  ASSERT_GT(last.series_scanned, 0u);
+  const std::uint64_t cycles = scheduler.cycles();
+
+  cluster.sim().run_until(TimePoint::epoch() + Duration::minutes(3));
+  EXPECT_GT(scheduler.cycles(), cycles + 20);
+  const ClusterMetrics::QueryDiagnostics& idle =
+      scheduler.metrics().last_query_stats();
+  EXPECT_EQ(idle.shards_scanned, last.shards_scanned);
+  EXPECT_EQ(idle.series_scanned, last.series_scanned);
+  EXPECT_EQ(idle.points_scanned, last.points_scanned);
+  EXPECT_EQ(idle.rollup_level_us, last.rollup_level_us);
+  // The same query now would scan `second`'s series too.
+  const ClusterMetrics fresh{cluster.db(), scheduler.metrics().window()};
+  (void)fresh.memory_per_pod(cluster.sim().now());
+  EXPECT_GT(fresh.last_query_stats().series_scanned, last.series_scanned);
+  cluster.stop_all();
+}
+
+TEST(SgxScheduler, IdleCyclesUnderStaleReadsStillCountAsDegraded) {
+  // The staleness check runs on every cycle, idle or not: an outage that
+  // hits while nothing is pending is still counted, cycle by cycle.
+  exp::SimulatedCluster cluster;
+  sim::FaultInjector injector{cluster.sim()};
+  auto& scheduler = cluster.add_sgx_scheduler(PlacementPolicy::kBinpack);
+  cluster.api().set_default_scheduler(scheduler.name());
+  cluster.start_monitoring();
+  cluster.install_fault_handlers(injector);
+  cluster.api().submit(sgx_pod("enclave", Pages{1000},
+                               Pages{1000}.as_bytes(), Duration::hours(2)));
+  cluster.sim().run_until(TimePoint::epoch() + Duration::minutes(1));
+  ASSERT_EQ(cluster.api().pod("enclave").phase, cluster::PodPhase::kRunning);
+  ASSERT_EQ(scheduler.degraded_cycles(), 0u);
+
+  // Queries see nothing newer than t=1min until t=6min; the 60 s
+  // threshold trips a minute in.
+  sim::FaultSpec stale;
+  stale.kind = sim::FaultKind::kTsdbStaleReads;
+  stale.duration = Duration::minutes(5);
+  injector.arm(sim::FaultPlan{{stale}});
+  cluster.sim().run_until(TimePoint::epoch() + Duration::minutes(3));
+  const std::uint64_t cycles = scheduler.cycles();
+  const std::uint64_t degraded = scheduler.degraded_cycles();
+  EXPECT_GT(degraded, 0u);
+  cluster.sim().run_until(TimePoint::epoch() + Duration::minutes(5));
+  orch::PodFilter pending;
+  pending.phase = cluster::PodPhase::kPending;
+  EXPECT_TRUE(cluster.api().list_pods(pending).empty());
+  EXPECT_GT(scheduler.cycles(), cycles);
+  EXPECT_EQ(scheduler.degraded_cycles() - degraded,
+            scheduler.cycles() - cycles);
+  cluster.stop_all();
 }
 
 }  // namespace

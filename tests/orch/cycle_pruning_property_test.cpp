@@ -14,11 +14,19 @@
 // priorities, and pods the placement policy declines. Strict FCFS is
 // covered on and off, and a preempting on_unschedulable hook evicts
 // mid-cycle.
+//
+// The same harness checks that views are built lazily: collect_views runs
+// exactly once in a cycle where some pod reaches the feasibility check
+// and never otherwise — neither on an empty queue (each seed starts with
+// one) nor when every pending pod is still backing off (the backoff suite
+// follows each cycle with an immediate second one, in which the pods that
+// just failed are all backing off).
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <memory>
 #include <optional>
+#include <set>
 #include <string>
 #include <utility>
 #include <vector>
@@ -82,12 +90,14 @@ class ProbeScheduler final : public Scheduler {
   ProbeScheduler(sim::Simulation& sim, ApiServer& api, bool preempt)
       : Scheduler(sim, api, kScheduler), preempt_(preempt) {}
 
-  /// The pod on_unschedulable received in the last cycle, if any.
+  /// The pod on_unschedulable received since the harness last cleared it.
   std::optional<cluster::PodName> unschedulable;
+  /// collect_views calls so far.
+  std::size_t view_builds = 0;
 
  protected:
   std::vector<NodeView> collect_views() override {
-    unschedulable.reset();
+    ++view_builds;
     return request_based_views(api());
   }
   std::optional<cluster::NodeName> select_node(
@@ -107,15 +117,25 @@ class ProbeScheduler final : public Scheduler {
   bool preempt_;
 };
 
+/// What one reference cycle decided besides its binds.
+struct ReferenceOutcome {
+  /// The pod handed to the unschedulable hook.
+  std::optional<cluster::PodName> unschedulable;
+  /// Some pod got past the backoff skip to the feasibility check.
+  bool reached_fits = false;
+};
+
 /// The brute-force reference: run_once's loop with no pruning — fits() on
 /// every view for every pod, in the same FCFS order, with the same
-/// cycle-local reservation after each bind. Returns the pod handed to the
-/// unschedulable hook. `prunable` counts infeasible pods whose request
-/// dominates an earlier infeasible pod of the same class — the pods
-/// run_once decides without fits(), so the comparison is not vacuous.
-std::optional<cluster::PodName> reference_cycle(ApiServer& api, bool strict,
-                                                bool preempt,
-                                                std::size_t& prunable) {
+/// cycle-local reservation after each bind. `prunable` counts infeasible
+/// pods whose request dominates an earlier infeasible pod of the same
+/// class — the pods run_once decides without fits(), so the comparison is
+/// not vacuous. With `backing_off` set, the pods in it are skipped, and a
+/// failed placement adds its pod to it (a bind removes it): the scheduler
+/// under test backs off for longer than the test runs.
+ReferenceOutcome reference_cycle(ApiServer& api, bool strict, bool preempt,
+                                 std::set<cluster::PodName>* backing_off,
+                                 std::size_t& prunable) {
   std::vector<NodeView> views = request_based_views(api);
   PodFilter pending;
   pending.phase = cluster::PodPhase::kPending;
@@ -124,9 +144,18 @@ std::optional<cluster::PodName> reference_cycle(ApiServer& api, bool strict,
   for (const PodRecord* record : api.list_pods(pending)) {
     snapshot.emplace_back(record, record->resource_version);
   }
-  std::optional<cluster::PodName> unschedulable;
+  const auto back_off = [&](const PodRecord* record) {
+    if (backing_off != nullptr) backing_off->insert(record->spec.name);
+  };
+  ReferenceOutcome outcome_of_cycle;
+  std::optional<cluster::PodName>& unschedulable =
+      outcome_of_cycle.unschedulable;
   std::vector<const PodRecord*> infeasible;
   for (const auto& [record, version] : snapshot) {
+    if (backing_off != nullptr && backing_off->count(record->spec.name)) {
+      continue;
+    }
+    outcome_of_cycle.reached_fits = true;
     std::vector<NodeView> feasible;
     for (const NodeView& view : views) {
       if (fits(*record, view)) feasible.push_back(view);
@@ -150,11 +179,13 @@ std::optional<cluster::PodName> reference_cycle(ApiServer& api, bool strict,
         unschedulable = record->spec.name;
         if (preempt) preempt_one(api, *record);
       }
+      back_off(record);
       if (strict) break;
       continue;
     }
     const std::optional<cluster::NodeName> chosen = choose(*record, feasible);
     if (!chosen.has_value()) {
+      back_off(record);
       if (strict) break;
       continue;
     }
@@ -165,9 +196,11 @@ std::optional<cluster::PodName> reference_cycle(ApiServer& api, bool strict,
       continue;
     }
     if (!outcome.bound()) {
+      back_off(record);
       if (strict) break;
       continue;
     }
+    if (backing_off != nullptr) backing_off->erase(record->spec.name);
     for (NodeView& view : views) {
       if (view.name != *chosen) continue;
       view.memory_used += record->requests.memory;
@@ -175,7 +208,7 @@ std::optional<cluster::PodName> reference_cycle(ApiServer& api, bool strict,
       view.epc_requested += record->requests.epc_pages;
     }
   }
-  return unschedulable;
+  return outcome_of_cycle;
 }
 
 struct ClusterShape {
@@ -270,17 +303,61 @@ struct Mode {
   bool preempt;
 };
 
+/// Cycles that built no views, by why not.
+struct IdleCycles {
+  std::size_t empty_queue = 0;
+  std::size_t all_backing_off = 0;
+};
+
 /// Drives run_once and the reference over identical clusters for several
 /// cycles, submitting a random batch before each and letting virtual time
-/// pass after it (pods start, finish and free capacity).
-void check_seed(std::uint64_t seed, Mode mode, std::size_t& prunable) {
+/// pass after it (pods start, finish and free capacity). The first cycle
+/// of each seed runs on an empty queue.
+void check_seed(std::uint64_t seed, Mode mode, bool backoff,
+                std::size_t& prunable, IdleCycles& idle) {
   Rng rng{seed};
   const ClusterShape shape = random_shape(rng);
   Cluster under_test{shape};
   Cluster reference{shape};
   ProbeScheduler scheduler{under_test.sim, under_test.api, mode.preempt};
   scheduler.set_strict_fcfs(mode.strict);
+  // Longer than the test's virtual time: a pod that failed placement
+  // backs off until the end.
+  if (backoff) {
+    scheduler.set_bind_backoff(Duration::seconds(3600),
+                               Duration::seconds(7200));
+  }
+  std::set<cluster::PodName> backing_off;
 
+  const std::string seed_context =
+      "seed=" + std::to_string(seed) + " strict=" +
+      std::to_string(mode.strict) + " preempt=" +
+      std::to_string(mode.preempt) + " backoff=" + std::to_string(backoff);
+  // One cycle of each, compared: binds, the unschedulable hook's pod and
+  // whether views were built.
+  const auto compare_cycle = [&](const std::string& context) {
+    PodFilter pending;
+    pending.phase = cluster::PodPhase::kPending;
+    pending.scheduler = kScheduler;
+    const bool queue_empty = under_test.api.list_pods(pending).empty();
+    scheduler.unschedulable.reset();
+    const std::size_t builds_before = scheduler.view_builds;
+    scheduler.run_once();
+    const ReferenceOutcome want =
+        reference_cycle(reference.api, mode.strict, mode.preempt,
+                        backoff ? &backing_off : nullptr, prunable);
+    ASSERT_EQ(under_test.binds, reference.binds) << context;
+    ASSERT_EQ(scheduler.unschedulable, want.unschedulable) << context;
+    ASSERT_EQ(scheduler.view_builds - builds_before,
+              want.reached_fits ? 1u : 0u)
+        << context;
+    if (!want.reached_fits) {
+      ++(queue_empty ? idle.empty_queue : idle.all_backing_off);
+    }
+  };
+
+  compare_cycle(seed_context + " cycle=empty");
+  if (::testing::Test::HasFatalFailure()) return;
   int next_pod = 0;
   for (int cycle = 0; cycle < 8; ++cycle) {
     const auto batch = rng.uniform_int(0, 25);
@@ -290,15 +367,15 @@ void check_seed(std::uint64_t seed, Mode mode, std::size_t& prunable) {
       under_test.api.submit(pod);
       reference.api.submit(pod);
     }
-    const std::string context = "seed=" + std::to_string(seed) +
-                                " cycle=" + std::to_string(cycle) +
-                                " strict=" + std::to_string(mode.strict) +
-                                " preempt=" + std::to_string(mode.preempt);
-    scheduler.run_once();
-    const std::optional<cluster::PodName> want =
-        reference_cycle(reference.api, mode.strict, mode.preempt, prunable);
-    ASSERT_EQ(under_test.binds, reference.binds) << context;
-    ASSERT_EQ(scheduler.unschedulable, want) << context;
+    const std::string context = seed_context + " cycle=" +
+                                std::to_string(cycle);
+    compare_cycle(context);
+    if (::testing::Test::HasFatalFailure()) return;
+    if (backoff) {
+      // At once again: the pods that just failed are all backing off.
+      compare_cycle(context + " again");
+      if (::testing::Test::HasFatalFailure()) return;
+    }
 
     const TimePoint until =
         under_test.sim.now() + Duration::seconds(rng.uniform_int(1, 60));
@@ -307,29 +384,59 @@ void check_seed(std::uint64_t seed, Mode mode, std::size_t& prunable) {
   }
 }
 
-class CyclePruningProperty : public ::testing::TestWithParam<Mode> {};
-
-TEST_P(CyclePruningProperty, RunOnceMatchesBruteForceReference) {
+/// Runs check_seed over 150 seeds and checks the harness exercised what
+/// it claims to: pruning (outside strict FCFS), an empty queue per seed,
+/// and — with backoff — cycles whose pending pods were all backing off
+/// (fewer under strict FCFS, which leaves the pods behind its first
+/// failure untried).
+void check_mode(Mode mode, bool backoff) {
   std::size_t prunable = 0;
+  IdleCycles idle;
   for (std::uint64_t seed = 1; seed <= 150; ++seed) {
-    check_seed(seed, GetParam(), prunable);
-    if (HasFatalFailure()) return;
+    check_seed(seed, mode, backoff, prunable, idle);
+    if (::testing::Test::HasFatalFailure()) return;
   }
   // Strict FCFS stops at the first infeasible pod, so nothing is ever
   // pruned there; the skipping modes must exercise pruning heavily.
-  if (!GetParam().strict) {
+  if (!mode.strict) {
     EXPECT_GT(prunable, 100u);
+  }
+  EXPECT_GE(idle.empty_queue, 150u);
+  if (backoff) {
+    EXPECT_GT(idle.all_backing_off, mode.strict ? 10u : 100u);
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    Modes, CyclePruningProperty,
-    ::testing::Values(Mode{false, false}, Mode{true, false},
-                      Mode{false, true}, Mode{true, true}),
-    [](const ::testing::TestParamInfo<Mode>& info) {
-      return std::string(info.param.strict ? "Strict" : "Skipping") +
-             (info.param.preempt ? "Preempting" : "");
-    });
+std::string mode_name(const ::testing::TestParamInfo<Mode>& info) {
+  return std::string(info.param.strict ? "Strict" : "Skipping") +
+         (info.param.preempt ? "Preempting" : "");
+}
+
+class CyclePruningProperty : public ::testing::TestWithParam<Mode> {};
+
+TEST_P(CyclePruningProperty, RunOnceMatchesBruteForceReference) {
+  check_mode(GetParam(), /*backoff=*/false);
+}
+
+INSTANTIATE_TEST_SUITE_P(Modes, CyclePruningProperty,
+                         ::testing::Values(Mode{false, false},
+                                           Mode{true, false},
+                                           Mode{false, true},
+                                           Mode{true, true}),
+                         mode_name);
+
+/// The same comparison with a bind backoff longer than the test, and an
+/// immediate second cycle after each one.
+class CyclePruningBackoffProperty : public ::testing::TestWithParam<Mode> {};
+
+TEST_P(CyclePruningBackoffProperty, RunOnceMatchesBruteForceReference) {
+  check_mode(GetParam(), /*backoff=*/true);
+}
+
+INSTANTIATE_TEST_SUITE_P(Modes, CyclePruningBackoffProperty,
+                         ::testing::Values(Mode{false, false},
+                                           Mode{true, true}),
+                         mode_name);
 
 }  // namespace
 }  // namespace sgxo::orch
