@@ -105,7 +105,7 @@ struct ModeResult {
   std::string mode;
   std::size_t pods = 0;
   std::size_t cycles = 0;
-  double makespan_ms = 0.0;        // virtual: submit of the fleet → last bind
+  double sim_last_bind_ms = 0.0;   // virtual: submit of the fleet → last bind
   double mean_admission_ms = 0.0;  // virtual: per-pod submit → bound
   double p99_admission_ms = 0.0;
   std::uint64_t verifications = 0;
@@ -114,8 +114,8 @@ struct ModeResult {
   double wall_ms = 0.0;  // host wall clock, informational only
 
   [[nodiscard]] double binds_per_sec() const {
-    return makespan_ms > 0.0
-               ? static_cast<double>(pods) / (makespan_ms / 1e3)
+    return sim_last_bind_ms > 0.0
+               ? static_cast<double>(pods) / (sim_last_bind_ms / 1e3)
                : 0.0;
   }
 };
@@ -209,7 +209,7 @@ ModeResult run_mode(const std::string& mode, bool cache,
     std::exit(1);
   }
   std::sort(latencies_ms.begin(), latencies_ms.end());
-  result.makespan_ms = latencies_ms.back();
+  result.sim_last_bind_ms = latencies_ms.back();
   double sum = 0.0;
   for (const double ms : latencies_ms) sum += ms;
   result.mean_admission_ms = sum / static_cast<double>(latencies_ms.size());
@@ -234,7 +234,7 @@ void write_json(const std::string& path, const BenchConfig& config,
     const ModeResult& r = modes[i];
     out << "    {\"mode\": \"" << r.mode << "\", \"pods\": " << r.pods
         << ", \"cycles\": " << r.cycles
-        << ", \"makespan_ms\": " << r.makespan_ms
+        << ", \"sim_last_bind_ms\": " << r.sim_last_bind_ms
         << ", \"binds_per_sec\": " << r.binds_per_sec()
         << ", \"mean_admission_ms\": " << r.mean_admission_ms
         << ", \"p99_admission_ms\": " << r.p99_admission_ms
@@ -279,11 +279,11 @@ int main(int argc, char** argv) {
   modes.push_back(run_mode("cache_on", true, config));
   modes.push_back(run_mode("cache_off", false, config));
 
-  Table table({"mode", "pods", "cycles", "makespan [ms]", "binds/s",
+  Table table({"mode", "pods", "cycles", "sim last bind [ms]", "binds/s",
                "mean adm [ms]", "p99 adm [ms]", "verifications", "hits"});
   for (const ModeResult& r : modes) {
     table.add_row({r.mode, std::to_string(r.pods), std::to_string(r.cycles),
-                   fmt_double(r.makespan_ms, 1),
+                   fmt_double(r.sim_last_bind_ms, 1),
                    fmt_double(r.binds_per_sec(), 1),
                    fmt_double(r.mean_admission_ms, 1),
                    fmt_double(r.p99_admission_ms, 1),
@@ -291,7 +291,7 @@ int main(int argc, char** argv) {
                    std::to_string(r.cache_hits)});
   }
   table.print(std::cout);
-  if (modes[1].makespan_ms > 0.0) {
+  if (modes[1].sim_last_bind_ms > 0.0) {
     std::cout << "\ncache-on vs cache-off admission p99: "
               << fmt_double(modes[0].p99_admission_ms, 1) << " ms vs "
               << fmt_double(modes[1].p99_admission_ms, 1) << " ms\n";

@@ -1,13 +1,14 @@
 // Microbenchmark of scheduler decision latency: one full scheduling cycle
 // (view collection through the live metrics pipeline + FCFS placement over
 // the pending queue) for both placement policies, as the pending queue
-// grows into the thousands — plus the shared-state scaling curve, a model
-// of 1/2/4/8 distributed scheduler replicas (not the in-process
-// orch::Scheduler fleet) draining sharded pending queues of up to ~1M pods
-// over 100k nodes through per-pod try_bind calls. It reports
-// per-shard cycle latency, aggregate binds/sec (parallel-makespan model:
-// wall clock = the busiest replica's summed cycle time) and the observed
-// conflict rate.
+// grows into the thousands — plus the shared-state curve: the real
+// SimulatedCluster::add_shared_state_fleet with 1/2/4/8 SGX-aware replicas
+// draining 10k and 100k pods over 1k and 10k nodes. The replicas run one
+// after another on one thread, so the curve shows what sharding the queue
+// costs or saves in this implementation, not a parallel speedup. It
+// reports the host wall time of the drain and of each cycle, the drain in
+// simulated time, and the fleet's bind conflicts, guard rejections and
+// steal cycles.
 //
 // Besides the human-readable tables it writes BENCH_scheduler.json
 // (per-cycle latency vs pod count + the multi-scheduler curve) so the
@@ -17,7 +18,6 @@
 #include <cstdint>
 #include <fstream>
 #include <iostream>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -105,32 +105,23 @@ Measurement run_cycle_bench(core::PlacementPolicy policy, int pods,
 // ---- shared-state scaling curve -------------------------------------------
 
 constexpr int kPodsPerNode = 10;
-constexpr sgxo::Pages kPodEpc{64};
-constexpr std::size_t kSharedBatch = 128;
+constexpr Pages kPodEpc{64};
 
+/// One fleet size draining one queue. Every field is measured: host wall
+/// clock for the drain and for each run_once, the virtual clock for the
+/// simulated drain time, and the fleet's own counters.
 struct SharedMeasurement {
   int schedulers = 0;
   int pods = 0;
   int nodes = 0;
-  std::vector<double> cycle_us;  // sorted after collection
-  double makespan_s = 0.0;
+  std::vector<double> cycle_us;  // host time of each run_once, sorted
+  double drain_wall_s = 0.0;     // host wall time of the whole drain loop
+  double drain_sim_s = 0.0;      // simulated time: submission → last bind
   std::uint64_t bound = 0;
-  std::uint64_t entries = 0;
-  std::uint64_t conflicts = 0;  // stale/not-pending + admission rejections
+  std::uint64_t bind_conflicts = 0;
+  std::uint64_t guard_rejections = 0;
+  std::uint64_t steal_cycles = 0;
 
-  [[nodiscard]] double binds_per_sec() const {
-    return makespan_s > 0.0 ? static_cast<double>(bound) / makespan_s : 0.0;
-  }
-  [[nodiscard]] double conflict_rate() const {
-    return entries > 0
-               ? static_cast<double>(conflicts) / static_cast<double>(entries)
-               : 0.0;
-  }
-  [[nodiscard]] double mean_us() const {
-    double sum = 0.0;
-    for (const double v : cycle_us) sum += v;
-    return cycle_us.empty() ? 0.0 : sum / static_cast<double>(cycle_us.size());
-  }
   [[nodiscard]] double median_us() const {
     return cycle_us.empty() ? 0.0 : cycle_us[cycle_us.size() / 2];
   }
@@ -139,150 +130,74 @@ struct SharedMeasurement {
   }
 };
 
-/// One modeled distributed replica driven against the ApiServer surface:
-/// shard-filtered limited pulls, planning against a periodically refreshed
-/// node snapshot, and one per-pod try_bind for every planned pod.
-/// The snapshot is deliberately allowed to go stale between refreshes —
-/// that is where real multi-scheduler conflicts come from.
-struct BenchReplica {
-  std::uint32_t shard = 0;
-  std::size_t cursor = 0;           // round-robin node pick, offset per shard
-  std::vector<std::int64_t> free_pages;  // snapshot of per-node free EPC
-  std::uint64_t cycles = 0;
-  bool force_refresh = true;
-  double busy_us = 0.0;
-};
-
+/// Drains `pods` EPC pods over pods / kPodsPerNode SGX nodes, each sized
+/// for exactly kPodsPerNode of them, with a `schedulers`-replica
+/// shared-state fleet of orch::Scheduler instances. The replicas run one
+/// after another on this thread: each round advances the virtual clock by
+/// one scheduling period, then calls run_once on every replica in shard
+/// order. Monitoring is off, so placement rests on the device plugin's
+/// request accounting.
 SharedMeasurement run_shared_bench(int schedulers, int pods) {
-  using sgxo::Pages;
-  namespace cluster = sgxo::cluster;
-  namespace orch = sgxo::orch;
-
   SharedMeasurement m;
   m.schedulers = schedulers;
   m.pods = pods;
   m.nodes = pods / kPodsPerNode;
 
-  sgxo::sim::Simulation sim;
-  orch::ApiServer api{sim};
-  api.set_event_retention(10000);  // a million binds must not hoard events
-  sgxo::sgx::PerfModel perf;
-  cluster::ImageRegistry registry;
-
-  std::vector<std::unique_ptr<cluster::Node>> nodes;
-  std::vector<std::unique_ptr<cluster::Kubelet>> kubelets;
-  std::vector<cluster::NodeName> node_names;
-  nodes.reserve(static_cast<std::size_t>(m.nodes));
-  kubelets.reserve(static_cast<std::size_t>(m.nodes));
-  node_names.reserve(static_cast<std::size_t>(m.nodes));
+  exp::ClusterConfig config;
+  config.machines.clear();
   for (int i = 0; i < m.nodes; ++i) {
     cluster::MachineSpec spec;
     spec.name = "n-" + std::to_string(i);
     spec.cpu_cores = 16;
     spec.memory = 64_GiB;
-    spec.epc = sgxo::sgx::EpcConfig::with_usable(
+    spec.epc = sgx::EpcConfig::with_usable(
         Pages{kPodEpc.count() * kPodsPerNode}.as_bytes());
-    nodes.push_back(std::make_unique<cluster::Node>(spec));
-    kubelets.push_back(std::make_unique<cluster::Kubelet>(
-        sim, *nodes.back(), perf, registry, api));
-    api.register_node(*nodes.back(), *kubelets.back());
-    node_names.push_back(spec.name);
+    config.machines.push_back(spec);
   }
+  exp::SimulatedCluster cluster{std::move(config)};
+  cluster.api().set_event_retention(10000);  // binds must not hoard events
+  const std::vector<core::SgxAwareScheduler*> fleet =
+      cluster.add_shared_state_fleet(static_cast<std::size_t>(schedulers));
+  for (core::SgxAwareScheduler* replica : fleet) replica->stop();
+  cluster.api().set_default_scheduler(fleet.front()->name());
 
   for (int i = 0; i < pods; ++i) {
     cluster::PodBehavior behavior;
     behavior.sgx = true;
     behavior.actual_usage = kPodEpc.as_bytes();
     behavior.duration = Duration::hours(24);
-    api.submit(cluster::make_stressor_pod("p-" + std::to_string(i),
-                                          {0_B, kPodEpc}, {0_B, kPodEpc},
-                                          behavior));
+    cluster.api().submit(cluster::make_stressor_pod(
+        "p-" + std::to_string(i), {0_B, kPodEpc}, {0_B, kPodEpc}, behavior));
   }
 
-  // Snapshots refresh every other cycle on small clusters; on very large
-  // ones the O(nodes) view collection is amortized over more batches,
-  // like a probe interval spanning several scheduling periods.
-  const std::uint64_t refresh_every = m.nodes > 20000 ? 8 : 2;
-
-  std::vector<BenchReplica> fleet(static_cast<std::size_t>(schedulers));
-  for (int s = 0; s < schedulers; ++s) {
-    fleet[static_cast<std::size_t>(s)].shard = static_cast<std::uint32_t>(s);
-    fleet[static_cast<std::size_t>(s)].cursor = static_cast<std::size_t>(
-        (static_cast<long long>(s) * m.nodes) / schedulers);
-    fleet[static_cast<std::size_t>(s)].free_pages.assign(
-        static_cast<std::size_t>(m.nodes), 0);
-  }
-
-  orch::PodFilter pull;
-  pull.phase = cluster::PodPhase::kPending;
-  pull.scheduler = api.default_scheduler();
-  pull.shard_count = static_cast<std::uint32_t>(schedulers);
-  pull.limit = kSharedBatch;
-
-  bool progress = true;
-  for (int round = 0; progress && round < 100000; ++round) {
-    progress = false;
-    for (BenchReplica& replica : fleet) {
-      pull.shard = replica.shard;
+  const TimePoint submitted = cluster.sim().now();
+  const Duration period = fleet.front()->period();
+  const auto wall_start = std::chrono::steady_clock::now();
+  // A round that binds nothing leaves the queue as it found it (bind
+  // backoff is off), so it ends the drain.
+  std::uint64_t bound_before = 0;
+  while (m.bound < static_cast<std::uint64_t>(pods)) {
+    cluster.sim().run_until(cluster.sim().now() + period);
+    for (core::SgxAwareScheduler* replica : fleet) {
       const auto start = std::chrono::steady_clock::now();
-
-      const auto pending = api.list_pods(pull);
-      if (pending.empty()) continue;  // shard drained — replica goes idle
-      progress = true;
-      ++replica.cycles;
-
-      if (replica.force_refresh || replica.cycles % refresh_every == 1) {
-        for (std::size_t n = 0; n < node_names.size(); ++n) {
-          replica.free_pages[n] = static_cast<std::int64_t>(
-              nodes[n]->device_allocator().available().count());
-        }
-        replica.force_refresh = false;
-      }
-
-      for (const orch::PodRecord* record : pending) {
-        // Round-robin probe from the replica's cursor against its (stale)
-        // snapshot; a full lap without a fit leaves the pod pending.
-        bool placed = false;
-        for (std::size_t probes = 0;
-             probes < replica.free_pages.size() && !placed; ++probes) {
-          const std::size_t n = replica.cursor;
-          replica.cursor = (replica.cursor + 1) % replica.free_pages.size();
-          if (replica.free_pages[n] >= kPodEpc.count()) {
-            replica.free_pages[n] -= kPodEpc.count();
-            using Status = orch::ApiServer::BindStatus;
-            const orch::ApiServer::BindOutcome outcome = api.try_bind(
-                record->spec.name, node_names[n], record->resource_version);
-            ++m.entries;
-            if (outcome.bound()) {
-              ++m.bound;
-            } else if (outcome == Status::kStaleVersion ||
-                       outcome == Status::kNotPending ||
-                       outcome == Status::kAdmissionRejected) {
-              ++m.conflicts;
-              replica.force_refresh = true;  // the snapshot went stale
-            }
-            placed = true;
-          }
-        }
-        if (!placed) {
-          replica.force_refresh = true;
-          break;  // snapshot exhausted — refresh before planning more
-        }
-      }
-
+      m.bound += replica->run_once();
       const auto stop = std::chrono::steady_clock::now();
-      const double us =
-          std::chrono::duration<double, std::micro>(stop - start).count();
-      replica.busy_us += us;
-      m.cycle_us.push_back(us);
+      m.cycle_us.push_back(
+          std::chrono::duration<double, std::micro>(stop - start).count());
     }
+    if (m.bound == bound_before) break;
+    bound_before = m.bound;
+    m.drain_sim_s = (cluster.sim().now() - submitted).as_seconds();
   }
+  m.drain_wall_s = std::chrono::duration<double>(
+                       std::chrono::steady_clock::now() - wall_start)
+                       .count();
 
-  double makespan_us = 0.0;
-  for (const BenchReplica& replica : fleet) {
-    makespan_us = std::max(makespan_us, replica.busy_us);
+  for (const core::SgxAwareScheduler* replica : fleet) {
+    m.bind_conflicts += replica->bind_conflicts();
+    m.guard_rejections += replica->guard_rejections();
+    m.steal_cycles += replica->steal_cycles();
   }
-  m.makespan_s = makespan_us / 1e6;
   std::sort(m.cycle_us.begin(), m.cycle_us.end());
   return m;
 }
@@ -303,21 +218,23 @@ void write_json(const std::vector<Measurement>& results,
         << ", \"min_us\": " << m.min() << ", \"max_us\": " << m.max() << "}"
         << (i + 1 < results.size() ? "," : "") << "\n";
   }
-  out << "  ],\n  \"shared_state_model\": \"distributed replicas driving "
-         "per-pod try_bind; makespan_s and binds_per_sec are a parallel-makespan "
-         "model (busiest replica's summed cycle time), not a measurement\",\n"
+  out << "  ],\n  \"shared_state_fleet\": \"SimulatedCluster::"
+         "add_shared_state_fleet replicas run one after another on one "
+         "thread; drain_wall_s and *_cycle_us are host wall time, "
+         "sim_drain_s is simulated time\",\n"
       << "  \"shared_state\": [\n";
   for (std::size_t i = 0; i < shared.size(); ++i) {
     const SharedMeasurement& m = shared[i];
     out << "    {\"schedulers\": " << m.schedulers << ", \"pods\": " << m.pods
         << ", \"nodes\": " << m.nodes << ", \"cycles\": " << m.cycle_us.size()
-        << ", \"mean_cycle_us\": " << m.mean_us()
+        << ", \"drain_wall_s\": " << m.drain_wall_s
         << ", \"median_cycle_us\": " << m.median_us()
         << ", \"max_cycle_us\": " << m.max_us()
-        << ", \"makespan_s\": " << m.makespan_s
-        << ", \"binds_per_sec\": " << m.binds_per_sec()
+        << ", \"sim_drain_s\": " << m.drain_sim_s
         << ", \"bound\": " << m.bound
-        << ", \"conflict_rate\": " << m.conflict_rate() << "}"
+        << ", \"bind_conflicts\": " << m.bind_conflicts
+        << ", \"guard_rejections\": " << m.guard_rejections
+        << ", \"steal_cycles\": " << m.steal_cycles << "}"
         << (i + 1 < shared.size() ? "," : "") << "\n";
   }
   out << "  ]\n}\n";
@@ -347,7 +264,7 @@ int main() {
   }
   table.print(std::cout);
 
-  constexpr int kSharedPods[] = {100000, 1000000};
+  constexpr int kSharedPods[] = {10000, 100000};
   constexpr int kSharedSchedulers[] = {1, 2, 4, 8};
   std::vector<SharedMeasurement> shared;
   for (const int pods : kSharedPods) {
@@ -356,47 +273,31 @@ int main() {
     }
   }
 
-  Table shared_table({"schedulers", "pods", "nodes", "median cycle [us]",
-                      "model makespan [s]", "model binds/sec",
-                      "conflict rate"});
+  Table shared_table({"schedulers", "pods", "nodes", "drain [s]",
+                      "median cycle [us]", "max cycle [us]",
+                      "sim drain [s]", "conflicts", "guard rej.",
+                      "steals"});
   for (const SharedMeasurement& m : shared) {
     shared_table.add_row(
         {std::to_string(m.schedulers), std::to_string(m.pods),
-         std::to_string(m.nodes), fmt_double(m.median_us(), 1),
-         fmt_double(m.makespan_s, 3), fmt_double(m.binds_per_sec(), 0),
-         fmt_double(m.conflict_rate(), 4)});
+         std::to_string(m.nodes), fmt_double(m.drain_wall_s, 3),
+         fmt_double(m.median_us(), 1), fmt_double(m.max_us(), 1),
+         fmt_double(m.drain_sim_s, 0), std::to_string(m.bind_conflicts),
+         std::to_string(m.guard_rejections), std::to_string(m.steal_cycles)});
   }
-  std::cout << "\nshared-state model: distributed replicas driving "
-               "per-pod try_bind (makespan = busiest replica's summed "
-               "cycle time)\n";
+  std::cout << "\nshared-state fleet (host wall time; sim drain is simulated "
+               "time)\n";
   shared_table.print(std::cout);
-
-  // The acceptance gate for the shared-state path: at the 100k-pod point
-  // four schedulers must deliver >= 2x the aggregate binds/sec of one.
-  double one = 0.0;
-  double four = 0.0;
-  for (const SharedMeasurement& m : shared) {
-    if (m.pods != kSharedPods[0]) continue;
-    if (m.schedulers == 1) one = m.binds_per_sec();
-    if (m.schedulers == 4) four = m.binds_per_sec();
-  }
-  if (one > 0.0) {
-    std::cout << "\n4-vs-1 scheduler speedup at " << kSharedPods[0]
-              << " pods: " << fmt_double(four / one, 2) << "x\n";
-    if (four < 2.0 * one) {
-      std::cerr << "warning: 4-scheduler aggregate below the 2x target\n";
-    }
-  }
 
   write_json(results, shared, "BENCH_scheduler.json");
   std::cout << "\nwrote BENCH_scheduler.json\n";
 
-  // Every modeled replica fleet must drain its whole queue: a pod left
-  // unbound means the bind path lost it.
+  // Every fleet must drain its whole queue: a pod left unbound means the
+  // bind path lost it.
   for (const SharedMeasurement& m : shared) {
     if (m.bound != static_cast<std::uint64_t>(m.pods)) {
-      std::cerr << "error: shared bench with " << m.schedulers
-                << " schedulers bound " << m.bound << " of " << m.pods
+      std::cerr << "error: shared-state fleet of " << m.schedulers
+                << " replicas bound " << m.bound << " of " << m.pods
                 << " pods\n";
       return 1;
     }

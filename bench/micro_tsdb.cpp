@@ -1,19 +1,13 @@
 // Microbenchmark of the sharded TSDB: ingest and query-latency curves
 // across shard counts {1, 2, 4, 8} at >= 1M samples.
 //
-// Each query is measured twice, interleaved run by run: wall_us is the
-// serial scan (ScanMode::kSerial) and parallel_wall_us the thread fan-out
-// (ScanMode::kParallel, one task per shard). Next to those measurements
-// the bench reports a parallel-makespan model, which shows shard scaling
-// even on a single CPU: every per-shard cost is measured serially
-// (ExecStats), and
-//
-//   modeled_us = wall_us - sum(shard scan_us) + max(shard scan_us)
-//
-// i.e. the serial run with all but the slowest shard's scan removed —
-// what an N-thread fan-out would pay with free, perfectly overlapping
-// threads. Ingest is modeled the same way: the batch is partitioned by
-// shard routing and the makespan is the slowest shard's write time.
+// Ingest is one timed write_many of the whole sample stream. Each query
+// is measured twice, interleaved run by run: wall_us is the serial scan
+// (ScanMode::kSerial) and parallel_wall_us the thread fan-out
+// (ScanMode::kParallel, one task per shard). Both are host wall time.
+// Next to them each query row records shard_points, the raw points (or
+// rollup buckets) every shard folded — a count, the same on every run —
+// which shows how the work splits across shards.
 //
 // Three query shapes cover the planner paths: the paper's Listing-1
 // nested query over a 25 s window (raw, narrow), a 1 h MAX per node per
@@ -21,13 +15,15 @@
 // always raw, the worst case for wide windows).
 //
 // Writes BENCH_tsdb.json (or BENCH_tsdb_smoke.json with --smoke, which
-// also re-parses the file and fails if the 4-shard modeled query
-// throughput dropped below the 1-shard baseline).
+// also re-parses the file and fails unless the wide raw scan's 4-shard
+// points sum to the 1-shard count, every shard folds some of them and
+// none folds more than half).
 #include <algorithm>
 #include <chrono>
 #include <cstdint>
 #include <fstream>
 #include <iostream>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -71,13 +67,11 @@ double now_us() {
 struct IngestResult {
   std::size_t shards = 0;
   std::size_t samples = 0;
-  double serial_ms = 0.0;    // sum of per-shard write times
-  double makespan_ms = 0.0;  // slowest shard (modeled parallel ingest)
+  double wall_ms = 0.0;  // one write_many of the whole stream
 
   [[nodiscard]] double samples_per_sec() const {
-    return makespan_ms > 0.0
-               ? static_cast<double>(samples) / (makespan_ms / 1e3)
-               : 0.0;
+    return wall_ms > 0.0 ? static_cast<double>(samples) / (wall_ms / 1e3)
+                         : 0.0;
   }
 };
 
@@ -87,13 +81,9 @@ struct QueryResult {
   std::size_t samples = 0;
   int runs = 0;
   double wall_us = 0.0;           // median serial wall time
-  double parallel_wall_us = 0.0;  // median measured kParallel wall time
-  double modeled_us = 0.0;        // median parallel-makespan latency
+  double parallel_wall_us = 0.0;  // median kParallel wall time
+  std::vector<std::size_t> shard_points;  // points folded per shard
   std::int64_t rollup_level_us = 0;
-
-  [[nodiscard]] double modeled_qps() const {
-    return modeled_us > 0.0 ? 1e6 / modeled_us : 0.0;
-  }
 };
 
 /// The identical sample stream every store ingests: integer values,
@@ -103,7 +93,6 @@ struct QueryResult {
 struct SampleStream {
   std::vector<Tags> tags;                          // one per series
   std::vector<std::vector<tsdb::TagView>> views;   // tag_views(tags[s])
-  std::vector<std::size_t> series;                 // series of each sample
   std::vector<Database::Sample> samples;
 
   SampleStream() = default;
@@ -120,46 +109,26 @@ void make_samples(const BenchConfig& config, SampleStream& stream) {
                            {"nodename", "n" + std::to_string(s % 32)}});
     stream.views.push_back(tsdb::tag_views(stream.tags.back()));
   }
-  stream.series.reserve(config.samples());
   stream.samples.reserve(config.samples());
   for (std::size_t i = 0; i < config.points_per_series; ++i) {
     const TimePoint t = at(static_cast<std::int64_t>(i) * config.cadence_s);
     for (std::size_t s = 0; s < config.series; ++s) {
-      stream.series.push_back(s);
       stream.samples.push_back({"sgx/epc", stream.views[s], t,
                                 static_cast<double>(rng.uniform_int(1, 4096))});
     }
   }
 }
 
-/// Ingests the stream, timing each shard's partition separately: the
-/// modeled parallel ingest is the slowest shard's write time.
 IngestResult ingest(Database& db, const SampleStream& stream) {
   IngestResult r;
   r.shards = db.shard_count();
   r.samples = stream.samples.size();
-  std::vector<std::size_t> shard_of_series;
-  for (const Tags& tags : stream.tags) {
-    shard_of_series.push_back(db.shard_of("sgx/epc", tags));
+  const double start = now_us();
+  const std::size_t accepted = db.write_many(stream.samples);
+  r.wall_ms = (now_us() - start) / 1e3;
+  if (accepted != stream.samples.size()) {
+    std::cerr << "warning: ingest dropped samples\n";
   }
-  std::vector<std::vector<Database::Sample>> by_shard(db.shard_count());
-  for (std::size_t i = 0; i < stream.samples.size(); ++i) {
-    by_shard[shard_of_series[stream.series[i]]].push_back(stream.samples[i]);
-  }
-  double max_ms = 0.0;
-  double sum_ms = 0.0;
-  for (const auto& batch : by_shard) {
-    const double start = now_us();
-    const std::size_t accepted = db.write_many(batch);
-    const double ms = (now_us() - start) / 1e3;
-    if (accepted != batch.size()) {
-      std::cerr << "warning: ingest dropped samples\n";
-    }
-    sum_ms += ms;
-    max_ms = std::max(max_ms, ms);
-  }
-  r.serial_ms = sum_ms;
-  r.makespan_ms = max_ms;
   return r;
 }
 
@@ -175,7 +144,6 @@ QueryResult run_query(Database& db, const std::string& name,
   r.runs = runs;
   std::vector<double> wall;
   std::vector<double> parallel_wall;
-  std::vector<double> modeled;
   for (int i = 0; i < runs; ++i) {
     tsdb::ql::ExecOptions parallel;
     parallel.mode = tsdb::ql::ScanMode::kParallel;
@@ -190,24 +158,18 @@ QueryResult run_query(Database& db, const std::string& name,
     options.stats = &stats;
     const double start = now_us();
     const tsdb::ql::ResultSet result = prepared.execute(db, now, {}, options);
-    const double wall_us = now_us() - start;
+    wall.push_back(now_us() - start);
     if (result.rows.empty()) std::cerr << "warning: empty result\n";
-    double sum_scan = 0.0;
-    double max_scan = 0.0;
+    r.shard_points.clear();
     for (const tsdb::ql::ShardScanStats& shard : stats.shards) {
-      sum_scan += shard.scan_us;
-      max_scan = std::max(max_scan, shard.scan_us);
+      r.shard_points.push_back(shard.points);
     }
-    wall.push_back(wall_us);
-    modeled.push_back(wall_us - sum_scan + max_scan);
     r.rollup_level_us = stats.rollup_level_us;
   }
   std::sort(wall.begin(), wall.end());
   std::sort(parallel_wall.begin(), parallel_wall.end());
-  std::sort(modeled.begin(), modeled.end());
   r.wall_us = wall[wall.size() / 2];
   r.parallel_wall_us = parallel_wall[parallel_wall.size() / 2];
-  r.modeled_us = modeled[modeled.size() / 2];
   return r;
 }
 
@@ -216,15 +178,14 @@ void write_json(const std::string& path, const BenchConfig& config,
                 const std::vector<QueryResult>& queries) {
   std::ofstream out(path);
   out << "{\n  \"benchmark\": \"micro_tsdb\",\n"
-      << "  \"metric\": \"sharded ingest + query fan-out: measured serial "
-         "(wall_us) and kParallel (parallel_wall_us) wall time, plus a "
-         "parallel-makespan model (modeled_*)\",\n"
+      << "  \"metric\": \"sharded ingest + query fan-out: serial "
+         "(wall_us) and kParallel (parallel_wall_us) host wall time, and "
+         "the points each shard folded (shard_points)\",\n"
       << "  \"samples\": " << config.samples() << ",\n  \"ingest\": [\n";
   for (std::size_t i = 0; i < ingests.size(); ++i) {
     const IngestResult& r = ingests[i];
     out << "    {\"shards\": " << r.shards << ", \"samples\": " << r.samples
-        << ", \"serial_ms\": " << r.serial_ms
-        << ", \"makespan_ms\": " << r.makespan_ms
+        << ", \"wall_ms\": " << r.wall_ms
         << ", \"samples_per_sec\": " << r.samples_per_sec() << "}"
         << (i + 1 < ingests.size() ? "," : "") << "\n";
   }
@@ -234,32 +195,41 @@ void write_json(const std::string& path, const BenchConfig& config,
     out << "    {\"query\": \"" << r.query << "\", \"shards\": " << r.shards
         << ", \"runs\": " << r.runs << ", \"wall_us\": " << r.wall_us
         << ", \"parallel_wall_us\": " << r.parallel_wall_us
-        << ", \"modeled_us\": " << r.modeled_us
-        << ", \"modeled_qps\": " << r.modeled_qps()
-        << ", \"rollup_level_us\": " << r.rollup_level_us << "}"
+        << ", \"shard_points\": [";
+    for (std::size_t s = 0; s < r.shard_points.size(); ++s) {
+      out << (s > 0 ? ", " : "") << r.shard_points[s];
+    }
+    out << "], \"rollup_level_us\": " << r.rollup_level_us << "}"
         << (i + 1 < queries.size() ? "," : "") << "\n";
   }
   out << "  ]\n}\n";
 }
 
 /// Line-based re-parse of the emitted JSON (the regression guard must not
-/// trust the in-memory numbers it just computed — it checks the artifact).
-double qps_from_json(const std::string& path, const std::string& query,
-                     std::size_t shards) {
+/// trust the in-memory numbers it just computed — it checks the artifact):
+/// the shard_points array of one query row, empty when the row is missing.
+std::vector<std::size_t> shard_points_from_json(const std::string& path,
+                                                const std::string& query,
+                                                std::size_t shards) {
   std::ifstream in(path);
   std::string line;
   const std::string query_needle = "\"query\": \"" + query + "\"";
   const std::string shard_needle =
       "\"shards\": " + std::to_string(shards) + ",";
+  const std::string key = "\"shard_points\": [";
   while (std::getline(in, line)) {
     if (line.find(query_needle) == std::string::npos) continue;
     if (line.find(shard_needle) == std::string::npos) continue;
-    const std::string key = "\"modeled_qps\": ";
     const std::size_t pos = line.find(key);
     if (pos == std::string::npos) continue;
-    return std::stod(line.substr(pos + key.size()));
+    std::istringstream list(
+        line.substr(pos + key.size(), line.find(']', pos) - pos - key.size()));
+    std::vector<std::size_t> points;
+    std::string item;
+    while (std::getline(list, item, ',')) points.push_back(std::stoull(item));
+    return points;
   }
-  return -1.0;
+  return {};
 }
 
 }  // namespace
@@ -320,23 +290,27 @@ int main(int argc, char** argv) {
                                 config.query_runs, stream.samples.size()));
   }
 
-  Table ingest_table(
-      {"shards", "samples", "serial [ms]", "makespan [ms]", "samples/s"});
+  Table ingest_table({"shards", "samples", "wall [ms]", "samples/s"});
   for (const IngestResult& r : ingests) {
     ingest_table.add_row({std::to_string(r.shards), std::to_string(r.samples),
-                          fmt_double(r.serial_ms, 1),
-                          fmt_double(r.makespan_ms, 1),
+                          fmt_double(r.wall_ms, 1),
                           fmt_double(r.samples_per_sec(), 0)});
   }
   ingest_table.print(std::cout);
 
   Table query_table({"query", "shards", "serial [us]", "parallel [us]",
-                     "modeled [us]", "modeled qps", "rollup level"});
+                     "largest shard [points]", "rollup level"});
   for (const QueryResult& r : queries) {
+    std::size_t total = 0;
+    std::size_t largest = 0;
+    for (const std::size_t points : r.shard_points) {
+      total += points;
+      largest = std::max(largest, points);
+    }
     query_table.add_row(
         {r.query, std::to_string(r.shards), fmt_double(r.wall_us, 1),
-         fmt_double(r.parallel_wall_us, 1), fmt_double(r.modeled_us, 1),
-         fmt_double(r.modeled_qps(), 1),
+         fmt_double(r.parallel_wall_us, 1),
+         std::to_string(largest) + " of " + std::to_string(total),
          r.rollup_level_us == 0
              ? std::string("raw")
              : std::to_string(r.rollup_level_us / 1000000) + "s"});
@@ -344,27 +318,16 @@ int main(int argc, char** argv) {
   std::cout << "\n";
   query_table.print(std::cout);
 
-  // Headline speedups: modeled query latency 4 shards vs 1, and the
-  // measured kParallel speedup over kSerial at 4 shards.
+  // Headline: the kParallel speedup over kSerial at 4 shards.
   for (const std::string& name : {std::string("listing1_25s"),
                                   std::string("rollup_wide"),
                                   std::string("p99_wide")}) {
-    double one = 0.0;
-    double four = 0.0;
     double serial_four = 0.0;
     double parallel_four = 0.0;
     for (const QueryResult& r : queries) {
-      if (r.query != name) continue;
-      if (r.shards == 1) one = r.modeled_us;
-      if (r.shards == 4) {
-        four = r.modeled_us;
-        serial_four = r.wall_us;
-        parallel_four = r.parallel_wall_us;
-      }
-    }
-    if (one > 0.0 && four > 0.0) {
-      std::cout << "\n4-vs-1 shard modeled speedup (" << name
-                << "): " << fmt_double(one / four, 2) << "x";
+      if (r.query != name || r.shards != 4) continue;
+      serial_four = r.wall_us;
+      parallel_four = r.parallel_wall_us;
     }
     if (parallel_four > 0.0) {
       std::cout << "\n4-shard measured parallel-vs-serial speedup (" << name
@@ -379,20 +342,42 @@ int main(int argc, char** argv) {
   std::cout << "\nwrote " << path << "\n";
 
   if (config.smoke) {
-    // Regression guard (ctest `bench` label): the artifact itself must
-    // show the 4-shard modeled throughput at or above the 1-shard
-    // baseline on the wide raw scan — the shape sharding exists for.
-    const double one = qps_from_json(path, "p99_wide", 1);
-    const double four = qps_from_json(path, "p99_wide", 4);
-    std::cout << "smoke guard: p99_wide modeled qps 1-shard=" << one
-              << " 4-shard=" << four << "\n";
-    if (one <= 0.0 || four <= 0.0) {
+    // Regression guard (ctest `bench` label), read back from the artifact:
+    // on the wide raw scan — the shape sharding exists for — the 4 shards
+    // fold exactly the 1-shard points between them, every shard folds
+    // some, and no shard folds more than half. Counts, not timings, so
+    // the verdict does not depend on host load.
+    const std::vector<std::size_t> one =
+        shard_points_from_json(path, "p99_wide", 1);
+    const std::vector<std::size_t> four =
+        shard_points_from_json(path, "p99_wide", 4);
+    if (one.size() != 1 || four.size() != 4) {
       std::cerr << "smoke guard: missing datapoints in " << path << "\n";
       return 1;
     }
-    if (four < one) {
-      std::cerr << "smoke guard: 4-shard modeled throughput below the "
-                   "1-shard baseline\n";
+    std::size_t sum = 0;
+    std::size_t smallest = four.front();
+    std::size_t largest = 0;
+    for (const std::size_t points : four) {
+      sum += points;
+      smallest = std::min(smallest, points);
+      largest = std::max(largest, points);
+    }
+    std::cout << "smoke guard: p99_wide points 1-shard=" << one.front()
+              << " 4-shard sum=" << sum << " smallest=" << smallest
+              << " largest=" << largest << "\n";
+    if (sum != one.front()) {
+      std::cerr << "smoke guard: 4-shard points do not sum to the 1-shard "
+                   "count\n";
+      return 1;
+    }
+    if (smallest == 0) {
+      std::cerr << "smoke guard: a shard folded no points\n";
+      return 1;
+    }
+    if (2 * largest > sum) {
+      std::cerr << "smoke guard: one shard folded more than half of the "
+                   "points\n";
       return 1;
     }
   }

@@ -119,11 +119,6 @@ core::SgxAwareScheduler& SimulatedCluster::add_sgx_scheduler(
 
 core::SgxAwareScheduler& SimulatedCluster::add_sgx_scheduler(
     core::SgxSchedulerConfig config) {
-  if (config.period == Duration{}) {
-    config.period = config_.scheduler_period;
-  } else if (config.period == Duration::seconds(5)) {
-    config.period = config_.scheduler_period;  // struct default → cluster's
-  }
   if (config.metrics_window == Duration::seconds(25)) {
     config.metrics_window = config_.metrics_window;
   }
@@ -157,8 +152,8 @@ std::vector<core::SgxAwareScheduler*> SimulatedCluster::add_shared_state_fleet(
 
 orch::DefaultScheduler& SimulatedCluster::add_default_scheduler(
     std::string identity) {
-  auto scheduler = std::make_unique<orch::DefaultScheduler>(
-      sim_, *api_, config_.scheduler_period, std::move(identity));
+  auto scheduler = std::make_unique<orch::DefaultScheduler>(sim_, *api_);
+  if (!identity.empty()) scheduler->set_identity(std::move(identity));
   scheduler->start();
   orch::DefaultScheduler& ref = *scheduler;
   schedulers_.push_back(std::move(scheduler));

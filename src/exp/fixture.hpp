@@ -38,7 +38,6 @@ struct ClusterConfig {
   /// enclave memory).
   sgx::SgxVersion sgx_version = sgx::SgxVersion::kSgx1;
   sgx::PerfModelConfig perf{};
-  Duration scheduler_period = Duration::seconds(5);
   Duration heapster_period = Duration::seconds(10);
   Duration probe_period = Duration::seconds(10);
   Duration metrics_window = Duration::seconds(25);
@@ -97,8 +96,8 @@ class SimulatedCluster {
   /// Creates and starts an SGX-aware scheduler with the given policy.
   core::SgxAwareScheduler& add_sgx_scheduler(core::PlacementPolicy policy,
                                              std::string name = "");
-  /// Full-control variant: period and metrics window default from the
-  /// cluster config when left at their zero values.
+  /// Full-control variant. The metrics window follows the cluster config
+  /// when left at the struct default; every other field is used as given.
   core::SgxAwareScheduler& add_sgx_scheduler(core::SgxSchedulerConfig config);
   /// Creates and starts the Kubernetes default scheduler baseline;
   /// `identity` distinguishes replicas sharing the default name.

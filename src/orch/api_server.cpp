@@ -209,15 +209,6 @@ void ApiServer::submit(cluster::PodSpec spec) {
   notify_watchers(name, cluster::PodPhase::kPending);
 }
 
-void ApiServer::append_pending(const std::string& bucket,
-                               std::vector<const PodRecord*>& out) const {
-  const auto it = pending_queues_.find(bucket);
-  if (it == pending_queues_.end()) return;
-  for (const auto& [key, record] : it->second) {
-    out.push_back(record);
-  }
-}
-
 std::vector<const PodRecord*> ApiServer::list_pods(
     const PodFilter& filter) const {
   SGXO_CHECK_MSG(!filter.shard.has_value() || filter.shard_count > 0,
@@ -249,21 +240,13 @@ std::vector<const PodRecord*> ApiServer::list_pods(
     }
     return true;
   };
-  const auto truncated = [&](std::vector<const PodRecord*>& result) {
-    if (filter.limit > 0 && result.size() > filter.limit) {
-      result.resize(filter.limit);
-    }
-    return std::move(result);
-  };
 
   std::vector<const PodRecord*> out;
 
   // Pending pods come from the queue index, already in priority+FCFS
   // order. With a scheduler filter that is at most two buckets (the
   // scheduler's own and, for the cluster default, the unnamed one)
-  // streamed as a two-way merge — with a limit, the scan stops as soon as
-  // the limit is full, so a shard pull over a million-pod queue touches
-  // O(limit * shard_count) entries, not the whole queue. Without a
+  // streamed as a two-way merge, so the order needs no sort. Without a
   // scheduler filter it is every bucket, merged by sort.
   if (filter.phase == cluster::PodPhase::kPending) {
     if (filter.scheduler.has_value()) {
@@ -285,7 +268,6 @@ std::vector<const PodRecord*> ApiServer::list_pods(
         }
       }
       while (named_it != named_end || unnamed_it != unnamed_end) {
-        if (filter.limit > 0 && out.size() == filter.limit) break;
         const bool take_named =
             unnamed_it == unnamed_end ||
             (named_it != named_end && named_it->first < unnamed_it->first);
@@ -312,7 +294,7 @@ std::vector<const PodRecord*> ApiServer::list_pods(
     std::erase_if(out, [&](const PodRecord* record) {
       return !matches(*record);
     });
-    return truncated(out);
+    return out;
   }
 
   // Assigned pods come from the node index (pod-name order).
@@ -321,18 +303,14 @@ std::vector<const PodRecord*> ApiServer::list_pods(
     if (it == pods_by_node_.end()) return out;
     out.reserve(it->second.size());
     for (const auto& [name, record] : it->second) {
-      if (filter.limit > 0 && out.size() == filter.limit) break;
       if (matches(*record)) out.push_back(record);
     }
     return out;
   }
 
   // Everything else: submission-order scan.
-  out.reserve(filter.limit > 0
-                  ? std::min(filter.limit, submission_order_.size())
-                  : submission_order_.size());
+  out.reserve(submission_order_.size());
   for (const PodRecord* record : submission_order_) {
-    if (filter.limit > 0 && out.size() == filter.limit) break;
     if (matches(*record)) out.push_back(record);
   }
   return out;

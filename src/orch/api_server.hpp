@@ -120,10 +120,6 @@ struct PodFilter {
   /// == shard. shard_count must be > 0 whenever shard is set.
   std::optional<std::uint32_t> shard;
   std::uint32_t shard_count = 0;
-  /// Truncates the result after ordering (0 = unlimited). The pending
-  /// read path streams, so a limited query costs O(entries scanned until
-  /// the limit), not O(queue).
-  std::size_t limit = 0;
 };
 
 class ApiServer final : public cluster::PodLifecycleListener {
@@ -366,9 +362,6 @@ class ApiServer final : public cluster::PodLifecycleListener {
   void node_insert(const PodRecord& record);
   void usage_add(const PodRecord& record);
   void usage_remove(const PodRecord& record);
-  /// Appends one pending bucket's records to `out` in queue order.
-  void append_pending(const std::string& bucket,
-                      std::vector<const PodRecord*>& out) const;
 
   sim::Simulation* sim_;
   std::unique_ptr<AttestationGate> attestation_;

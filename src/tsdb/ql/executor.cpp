@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <array>
-#include <chrono>
 #include <cmath>
 #include <cstdio>
 #include <limits>
@@ -81,12 +80,6 @@ std::string bucket_suffix(std::int64_t bucket) {
   std::snprintf(suffix, sizeof suffix, "|t%020lld",
                 static_cast<long long>(bucket));
   return suffix;
-}
-
-double now_us() {
-  return std::chrono::duration<double, std::micro>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
 }
 
 /// Deterministic mergeable quantile sketch: a fixed log-bucket histogram
@@ -436,7 +429,6 @@ GroupMap scan_shard(const Database& db, const ScanSpec& spec,
     use_rollup = false;
   }
   if (spec.lo > hi) return groups;
-  if (stats != nullptr) stats->used_rollup = use_rollup;
 
   db.for_each_series_in_shard(
       *spec.measurement, shard,
@@ -644,16 +636,11 @@ ResultSet exec_scan(const SelectStmt& stmt, const std::string& measurement,
   std::vector<GroupMap> partials(shard_count);
   const auto scan_one = [&](std::size_t s) {
     ShardScanStats local;
-    const double start = stats != nullptr ? now_us() : 0.0;
     partials[s] = scan_shard(db, spec, s,
                              stats != nullptr ? &local : nullptr);
     if (stats != nullptr) {
-      local.scan_us = now_us() - start;
-      ShardScanStats& slot = stats->shards[s];
-      slot.series += local.series;
-      slot.points += local.points;
-      slot.scan_us += local.scan_us;
-      slot.used_rollup = slot.used_rollup || local.used_rollup;
+      stats->shards[s].series += local.series;
+      stats->shards[s].points += local.points;
     }
   };
 
@@ -676,7 +663,6 @@ ResultSet exec_scan(const SelectStmt& stmt, const std::string& measurement,
 
   // Merge partials in shard order. Aggregates are order-independent, so
   // this produces the 1-shard fold bit for bit.
-  const double merge_start = stats != nullptr ? now_us() : 0.0;
   GroupMap merged = std::move(partials[0]);
   for (std::size_t s = 1; s < shard_count; ++s) {
     for (auto& [key, group] : partials[s]) {
@@ -691,9 +677,7 @@ ResultSet exec_scan(const SelectStmt& stmt, const std::string& measurement,
       }
     }
   }
-  ResultSet result = render(stmt, merged);
-  if (stats != nullptr) stats->merge_us += now_us() - merge_start;
-  return result;
+  return render(stmt, merged);
 }
 
 /// Row-at-a-time path for subquery sources: execute the inner statement,

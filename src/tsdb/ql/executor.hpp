@@ -56,21 +56,18 @@ struct ResultSet {
 /// bound at execute time by prepared queries.
 using QueryParams = std::map<std::string, Duration>;
 
-/// Per-shard scan telemetry for one execute() call.
+/// Per-shard scan counts for one execute() call.
 struct ShardScanStats {
   std::size_t series = 0;   // series whose newest point reaches the window
   std::size_t points = 0;   // raw points (or rollup buckets) folded
-  double scan_us = 0.0;     // wall time of this shard's fold
-  bool used_rollup = false;
 };
 
 /// Filled when ExecOptions::stats is set. `shards` is indexed by shard id
 /// and accumulates over every measurement scan the statement performs
-/// (subqueries included). The parallel-makespan model of a fan-out is
-/// max(shards[i].scan_us) + merge_us; the serial cost is their sum.
+/// (subqueries included). The counts describe how the work splits across
+/// shards; they hold no timings, so filling them reads no clock.
 struct ExecStats {
   std::vector<ShardScanStats> shards;
-  double merge_us = 0.0;
   /// Rollup level used by the outermost qualifying scan (0 = raw).
   std::int64_t rollup_level_us = 0;
 };

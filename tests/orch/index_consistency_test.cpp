@@ -6,10 +6,13 @@
 // fail-node / recover / advance-time sequences and after every step
 // cross-checks each indexed answer against a reference computed by a full
 // scan of the pod store — the index must agree with the scan at all times,
-// including ordering.
+// including ordering. Shard-filtered pending pulls (the shared-state fleet's
+// read) are checked against the same reference.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
+#include <iterator>
 #include <map>
 #include <string>
 #include <vector>
@@ -129,8 +132,35 @@ class IndexConsistencyFixture : public ::testing::Test {
   void check_invariants() {
     for (const char* scheduler : {"default-scheduler", "sched-a", "sched-b",
                                   "ghost"}) {
-      EXPECT_EQ(pending_names(api_, scheduler), reference_pending(scheduler))
+      const std::vector<cluster::PodName> reference =
+          reference_pending(scheduler);
+      EXPECT_EQ(pending_names(api_, scheduler), reference)
           << "scheduler " << scheduler;
+      // Shard pulls stream the same merge: every shard is the reference
+      // queue filtered by shard_of, in order, and together the shards
+      // partition the queue.
+      for (const std::uint32_t shard_count : {2u, 3u}) {
+        std::size_t covered = 0;
+        for (std::uint32_t shard = 0; shard < shard_count; ++shard) {
+          PodFilter pull;
+          pull.phase = cluster::PodPhase::kPending;
+          pull.scheduler = scheduler;
+          pull.shard = shard;
+          pull.shard_count = shard_count;
+          std::vector<cluster::PodName> expected;
+          std::copy_if(reference.begin(), reference.end(),
+                       std::back_inserter(expected),
+                       [&](const cluster::PodName& name) {
+                         return shard_of(name, shard_count) == shard;
+                       });
+          const std::vector<cluster::PodName> actual = names_of(api_, pull);
+          EXPECT_EQ(actual, expected) << "scheduler " << scheduler << " shard "
+                                      << shard << "/" << shard_count;
+          covered += actual.size();
+        }
+        EXPECT_EQ(covered, reference.size())
+            << "scheduler " << scheduler << " shards " << shard_count;
+      }
     }
     for (const char* node : {"node-a", "node-b", "node-c", "ghost"}) {
       EXPECT_EQ(assigned_names(api_, node), reference_assigned(node))

@@ -106,17 +106,6 @@ TEST_F(SharedStateFixture, ShardFilteredPullsPartitionTheQueue) {
   }
   // The shards exactly cover the queue.
   EXPECT_EQ(total, 40u);
-
-  // A limited pull returns the queue-order prefix of the shard.
-  filter.shard = 0;
-  filter.limit = 3;
-  const auto limited = api_.list_pods(filter);
-  EXPECT_LE(limited.size(), 3u);
-  filter.limit = 0;
-  const auto full = api_.list_pods(filter);
-  for (std::size_t i = 0; i < limited.size(); ++i) {
-    EXPECT_EQ(limited[i], full[i]);
-  }
 }
 
 TEST_F(SharedStateFixture, SharedStateCycleDrainsOwnShardFirst) {
