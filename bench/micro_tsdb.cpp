@@ -2,12 +2,10 @@
 // across shard counts {1, 2, 4, 8} at >= 1M samples.
 //
 // Ingest is one timed write_many of the whole sample stream. Each query
-// is measured twice, interleaved run by run: wall_us is the serial scan
-// (ScanMode::kSerial) and parallel_wall_us the thread fan-out
-// (ScanMode::kParallel, one task per shard). Both are host wall time.
-// Next to them each query row records shard_points, the raw points (or
-// rollup buckets) every shard folded — a count, the same on every run —
-// which shows how the work splits across shards.
+// row records wall_us, the median host wall time of the shard-by-shard
+// scan, and shard_points, the raw points (or rollup buckets) every shard
+// folded — a count, the same on every run — which shows how the work
+// splits across shards.
 //
 // Three query shapes cover the planner paths: the paper's Listing-1
 // nested query over a 25 s window (raw, narrow), a 1 h MAX per node per
@@ -80,8 +78,7 @@ struct QueryResult {
   std::size_t shards = 0;
   std::size_t samples = 0;
   int runs = 0;
-  double wall_us = 0.0;           // median serial wall time
-  double parallel_wall_us = 0.0;  // median kParallel wall time
+  double wall_us = 0.0;  // median wall time
   std::vector<std::size_t> shard_points;  // points folded per shard
   std::int64_t rollup_level_us = 0;
 };
@@ -143,18 +140,9 @@ QueryResult run_query(Database& db, const std::string& name,
   r.samples = samples;
   r.runs = runs;
   std::vector<double> wall;
-  std::vector<double> parallel_wall;
   for (int i = 0; i < runs; ++i) {
-    tsdb::ql::ExecOptions parallel;
-    parallel.mode = tsdb::ql::ScanMode::kParallel;
-    const double parallel_start = now_us();
-    const tsdb::ql::ResultSet fanned = prepared.execute(db, now, {}, parallel);
-    parallel_wall.push_back(now_us() - parallel_start);
-    if (fanned.rows.empty()) std::cerr << "warning: empty result\n";
-
     tsdb::ql::ExecStats stats;
     tsdb::ql::ExecOptions options;
-    options.mode = tsdb::ql::ScanMode::kSerial;
     options.stats = &stats;
     const double start = now_us();
     const tsdb::ql::ResultSet result = prepared.execute(db, now, {}, options);
@@ -167,9 +155,7 @@ QueryResult run_query(Database& db, const std::string& name,
     r.rollup_level_us = stats.rollup_level_us;
   }
   std::sort(wall.begin(), wall.end());
-  std::sort(parallel_wall.begin(), parallel_wall.end());
   r.wall_us = wall[wall.size() / 2];
-  r.parallel_wall_us = parallel_wall[parallel_wall.size() / 2];
   return r;
 }
 
@@ -178,9 +164,8 @@ void write_json(const std::string& path, const BenchConfig& config,
                 const std::vector<QueryResult>& queries) {
   std::ofstream out(path);
   out << "{\n  \"benchmark\": \"micro_tsdb\",\n"
-      << "  \"metric\": \"sharded ingest + query fan-out: serial "
-         "(wall_us) and kParallel (parallel_wall_us) host wall time, and "
-         "the points each shard folded (shard_points)\",\n"
+      << "  \"metric\": \"sharded ingest + query: host wall time "
+         "(wall_us) and the points each shard folded (shard_points)\",\n"
       << "  \"samples\": " << config.samples() << ",\n  \"ingest\": [\n";
   for (std::size_t i = 0; i < ingests.size(); ++i) {
     const IngestResult& r = ingests[i];
@@ -194,7 +179,6 @@ void write_json(const std::string& path, const BenchConfig& config,
     const QueryResult& r = queries[i];
     out << "    {\"query\": \"" << r.query << "\", \"shards\": " << r.shards
         << ", \"runs\": " << r.runs << ", \"wall_us\": " << r.wall_us
-        << ", \"parallel_wall_us\": " << r.parallel_wall_us
         << ", \"shard_points\": [";
     for (std::size_t s = 0; s < r.shard_points.size(); ++s) {
       out << (s > 0 ? ", " : "") << r.shard_points[s];
@@ -298,8 +282,8 @@ int main(int argc, char** argv) {
   }
   ingest_table.print(std::cout);
 
-  Table query_table({"query", "shards", "serial [us]", "parallel [us]",
-                     "largest shard [points]", "rollup level"});
+  Table query_table({"query", "shards", "wall [us]", "largest shard [points]",
+                     "rollup level"});
   for (const QueryResult& r : queries) {
     std::size_t total = 0;
     std::size_t largest = 0;
@@ -309,7 +293,6 @@ int main(int argc, char** argv) {
     }
     query_table.add_row(
         {r.query, std::to_string(r.shards), fmt_double(r.wall_us, 1),
-         fmt_double(r.parallel_wall_us, 1),
          std::to_string(largest) + " of " + std::to_string(total),
          r.rollup_level_us == 0
              ? std::string("raw")
@@ -317,24 +300,6 @@ int main(int argc, char** argv) {
   }
   std::cout << "\n";
   query_table.print(std::cout);
-
-  // Headline: the kParallel speedup over kSerial at 4 shards.
-  for (const std::string& name : {std::string("listing1_25s"),
-                                  std::string("rollup_wide"),
-                                  std::string("p99_wide")}) {
-    double serial_four = 0.0;
-    double parallel_four = 0.0;
-    for (const QueryResult& r : queries) {
-      if (r.query != name || r.shards != 4) continue;
-      serial_four = r.wall_us;
-      parallel_four = r.parallel_wall_us;
-    }
-    if (parallel_four > 0.0) {
-      std::cout << "\n4-shard measured parallel-vs-serial speedup (" << name
-                << "): " << fmt_double(serial_four / parallel_four, 2) << "x";
-    }
-  }
-  std::cout << "\n";
 
   const std::string path =
       config.smoke ? "BENCH_tsdb_smoke.json" : "BENCH_tsdb.json";

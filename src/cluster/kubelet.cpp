@@ -435,17 +435,15 @@ void Kubelet::handle_node_failure() {
 // an active pod is recorded in ActivePod::containers when started (in id
 // order) and killed only by teardown, which also drops the pod.
 
-std::vector<Kubelet::PodStats> Kubelet::pod_stats() const {
-  std::vector<PodStats> stats;
-  stats.reserve(active_.size());
+void Kubelet::for_each_pod_stat(
+    const std::function<void(const PodName&, Bytes)>& visit) const {
   for (const auto& [name, pod] : active_) {
     Bytes usage{};
     for (const ContainerId id : pod.containers) {
       usage += node_->runtime().info(id).memory_usage;
     }
-    stats.push_back(PodStats{name, usage});
+    visit(name, usage);
   }
-  return stats;
 }
 
 void Kubelet::for_each_pod_pids(

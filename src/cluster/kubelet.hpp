@@ -116,19 +116,18 @@ class Kubelet {
     return attestation_rejected_pods_;
   }
 
-  /// Per-pod standard memory usage, the stats Heapster scrapes.
-  struct PodStats {
-    PodName pod;
-    Bytes memory_usage{};
-  };
-  [[nodiscard]] std::vector<PodStats> pod_stats() const;
+  /// The stats Heapster scrapes: `visit(pod, memory_usage)` for every
+  /// active pod in name order, with the standard memory usage summed over
+  /// the pod's containers. `pod` is the kubelet's own copy of the name
+  /// (valid until the pod leaves this node).
+  void for_each_pod_stat(
+      const std::function<void(const PodName&, Bytes)>& visit) const;
 
   /// The per-process EPC walk of the SGX probe and the contention
   /// monitor: `visit(pod, pids)` for every active pod in name order, with
   /// the pids of the pod's containers in start order — what the driver's
-  /// per-process ioctl is asked about. `pod` is the kubelet's own copy of
-  /// the name (valid until the pod leaves this node); `pids` lives only
-  /// for the call.
+  /// per-process ioctl is asked about. `pod` is as for for_each_pod_stat;
+  /// `pids` lives only for the call.
   void for_each_pod_pids(
       const std::function<void(const PodName&, std::span<const sgx::Pid>)>&
           visit) const;

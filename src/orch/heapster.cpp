@@ -46,39 +46,38 @@ void Heapster::deliver(const cluster::PodName& pod,
 void Heapster::scrape_once() {
   ++scrapes_;
   const TimePoint now = sim_->now();
-  // One batch per node: each TSDB shard lock is taken once per node, not
-  // once per pod. Samples borrow their tag strings from `stats` and the
-  // node name, and their tag arrays from `tags`, which is reserved up
-  // front so it never reallocates under them.
+  // One write_many per node. Samples borrow their tag strings from the
+  // kubelet's pod names and the node name, and their tag arrays from
+  // `tags`, which is reserved up front so it never reallocates under
+  // them; only a delayed sample copies its pod name.
   std::vector<std::array<tsdb::TagView, 3>> tags;
   std::vector<tsdb::Database::Sample> batch;
   for (const ApiServer::NodeEntry& entry : api_->all_nodes()) {
     const cluster::NodeName& node = entry.node->name();
-    const std::vector<cluster::Kubelet::PodStats> stats =
-        entry.kubelet->pod_stats();
+    const cluster::Kubelet& kubelet = *entry.kubelet;
     tags.clear();
-    tags.reserve(stats.size());
+    tags.reserve(kubelet.active_pod_count());
     batch.clear();
-    for (const cluster::Kubelet::PodStats& stat : stats) {
+    kubelet.for_each_pod_stat([&](const cluster::PodName& pod,
+                                  Bytes memory_usage) {
       if (drop_samples_) {
         ++dropped_;
-        continue;
+        return;
       }
-      const double value = static_cast<double>(stat.memory_usage.count());
+      const double value = static_cast<double>(memory_usage.count());
       if (sample_delay_ > Duration{}) {
         // Delayed delivery keeps the original sample timestamp, so the
         // point lands out of order — exactly what a congested collector
         // produces.
         ++delayed_;
-        sim_->schedule_after(sample_delay_,
-                             [this, pod = stat.pod, node, now, value] {
-                               deliver(pod, node, now, value);
-                             });
-        continue;
+        sim_->schedule_after(sample_delay_, [this, pod, node, now, value] {
+          deliver(pod, node, now, value);
+        });
+        return;
       }
-      tags.push_back(pod_tags(stat.pod, node));
+      tags.push_back(pod_tags(pod, node));
       batch.push_back({kMemoryMeasurement, tags.back(), now, value});
-    }
+    });
     if (!batch.empty()) db_->write_many(batch);
   }
   // Retention plus chunk compaction ride on the scrape cadence — the

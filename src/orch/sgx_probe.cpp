@@ -51,10 +51,10 @@ void SgxProbe::probe_once() {
   ++probes_;
   const TimePoint now = sim_->now();
   const sgx::Driver& driver = *entry_.node->driver();
-  // One batch per probe cycle: every on-time sample of this node lands
-  // under its TSDB shard lock once. Samples borrow their tag strings from
-  // the kubelet's pod names and the node name, and their tag arrays from
-  // `tags`, which is reserved up front so it never reallocates under them.
+  // One write_many per probe cycle for every on-time sample of this
+  // node. Samples borrow their tag strings from the kubelet's pod names
+  // and the node name, and their tag arrays from `tags`, which is
+  // reserved up front so it never reallocates under them.
   const cluster::Kubelet& kubelet = *entry_.kubelet;
   std::vector<std::array<tsdb::TagView, 2>> tags;
   tags.reserve(kubelet.active_pod_count());

@@ -416,46 +416,34 @@ bool Database::write(std::string_view measurement, const Tags& tags,
 }
 
 std::size_t Database::write_many(std::span<const Sample> batch) {
-  // Every sample is checked before any lands, and routed up front when
-  // there is more than one shard; then each shard takes its samples in
-  // batch order under one lock acquisition.
+  // Every sample is checked before any lands; then one pass routes each
+  // sample, counts it against its shard under a write fault, and appends
+  // it otherwise.
+  for (const Sample& sample : batch) check_sample(sample);
   std::string buf;  // "measurement\ntags_key", storage reused per sample
-  std::vector<std::size_t> routed;
-  if (shards_.size() > 1) routed.reserve(batch.size());
-  for (const Sample& sample : batch) {
-    check_sample(sample);
-    if (shards_.size() > 1) {
-      render_series(buf, sample.measurement, sample.tags);
-      routed.push_back(route(buf));
-    }
-  }
   std::size_t accepted = 0;
-  for (std::size_t idx = 0; idx < shards_.size(); ++idx) {
-    Shard& shard = shards_[idx];
-    std::lock_guard<std::mutex> lock(shard.mu);
-    Measurement* m = nullptr;
-    for (std::size_t i = 0; i < batch.size(); ++i) {
-      if (!routed.empty() && routed[i] != idx) continue;
-      const Sample& sample = batch[i];
-      if (write_fault_ || shard.write_fault) {
-        ++shard.failed_writes;
-        continue;
-      }
-      const std::string_view key =
-          render_series(buf, sample.measurement, sample.tags);
-      if (m == nullptr || m->name() != sample.measurement) {
-        m = &measurement_in(shard, sample.measurement);
-      }
-      m->append(key, sample.tags, Point{sample.time, sample.value});
-      ++accepted;
+  const Shard* m_shard = nullptr;  // shard `m` lives in
+  Measurement* m = nullptr;
+  for (const Sample& sample : batch) {
+    const std::string_view key =
+        render_series(buf, sample.measurement, sample.tags);
+    Shard& shard = shards_[route(buf)];
+    if (write_fault_ || shard.write_fault) {
+      ++shard.failed_writes;
+      continue;
     }
+    if (m_shard != &shard || m->name() != sample.measurement) {
+      m = &measurement_in(shard, sample.measurement);
+      m_shard = &shard;
+    }
+    m->append(key, sample.tags, Point{sample.time, sample.value});
+    ++accepted;
   }
   return accepted;
 }
 
 bool Database::has_measurement(const std::string& name) const {
   for (const Shard& shard : shards_) {
-    std::lock_guard<std::mutex> lock(shard.mu);
     if (shard.measurements.count(name) != 0) return true;
   }
   return false;
@@ -464,7 +452,6 @@ bool Database::has_measurement(const std::string& name) const {
 std::vector<std::string> Database::measurement_names() const {
   std::vector<std::string> names;
   for (const Shard& shard : shards_) {
-    std::lock_guard<std::mutex> lock(shard.mu);
     for (const auto& [name, m] : shard.measurements) {
       names.push_back(name);
     }
@@ -477,7 +464,6 @@ std::vector<std::string> Database::measurement_names() const {
 std::size_t Database::total_points() const {
   std::size_t total = 0;
   for (const Shard& shard : shards_) {
-    std::lock_guard<std::mutex> lock(shard.mu);
     for (const auto& [name, m] : shard.measurements) {
       total += m.point_count();
     }
@@ -488,7 +474,6 @@ std::size_t Database::total_points() const {
 std::size_t Database::series_count(const std::string& measurement) const {
   std::size_t total = 0;
   for (const Shard& shard : shards_) {
-    std::lock_guard<std::mutex> lock(shard.mu);
     const auto it = shard.measurements.find(measurement);
     if (it != shard.measurements.end()) total += it->second.series_count();
   }
@@ -498,7 +483,6 @@ std::size_t Database::series_count(const std::string& measurement) const {
 std::size_t Database::points_in(const std::string& measurement) const {
   std::size_t total = 0;
   for (const Shard& shard : shards_) {
-    std::lock_guard<std::mutex> lock(shard.mu);
     const auto it = shard.measurements.find(measurement);
     if (it != shard.measurements.end()) total += it->second.point_count();
   }
@@ -508,7 +492,6 @@ std::size_t Database::points_in(const std::string& measurement) const {
 std::size_t Database::chunk_count(const std::string& measurement) const {
   std::size_t total = 0;
   for (const Shard& shard : shards_) {
-    std::lock_guard<std::mutex> lock(shard.mu);
     const auto it = shard.measurements.find(measurement);
     if (it == shard.measurements.end()) continue;
     it->second.for_each_series(
@@ -523,22 +506,15 @@ void Database::for_each_series(
   // K-way merge over the per-shard series maps: each shard's map is
   // already in tags_key order and the key space partitions across shards,
   // so merging by key reproduces the 1-shard iteration order exactly.
-  std::vector<std::unique_lock<std::mutex>> locks;
-  locks.reserve(shards_.size());
   struct Cursor {
     Measurement::SeriesMap::const_iterator it;
     Measurement::SeriesMap::const_iterator end;
   };
   std::vector<Cursor> cursors;
   for (const Shard& shard : shards_) {
-    locks.emplace_back(shard.mu);
     const auto m = shard.measurements.find(measurement);
     if (m == shard.measurements.end()) continue;
-    // Access the private series map through the public keyed visitor is
-    // not possible lazily; use iterators over an exported range instead.
-    cursors.push_back(Cursor{});
-    cursors.back().it = m->second.series_begin();
-    cursors.back().end = m->second.series_end();
+    cursors.push_back({m->second.series_begin(), m->second.series_end()});
   }
   while (true) {
     Cursor* best = nullptr;
@@ -558,7 +534,6 @@ void Database::for_each_series_in_shard(
     const std::string& measurement, std::size_t shard_index,
     const std::function<void(const std::string&, const Series&)>& f) const {
   const Shard& shard = shards_[shard_index];
-  std::lock_guard<std::mutex> lock(shard.mu);
   const auto it = shard.measurements.find(measurement);
   if (it == shard.measurements.end()) return;
   it->second.for_each_keyed_series(f);
@@ -569,7 +544,6 @@ std::size_t Database::enforce_retention(TimePoint now, Duration retention) {
   const TimePoint horizon = now - retention;
   std::size_t dropped = 0;
   for (Shard& shard : shards_) {
-    std::lock_guard<std::mutex> lock(shard.mu);
     for (auto& [name, m] : shard.measurements) {
       dropped += m.drop_before(horizon);
     }
@@ -582,7 +556,6 @@ std::size_t Database::compact(TimePoint now) {
       now.micros_since_epoch() - config_.chunk_width.micros_count();
   std::size_t merges = 0;
   for (Shard& shard : shards_) {
-    std::lock_guard<std::mutex> lock(shard.mu);
     std::size_t shard_merges = 0;
     for (auto& [name, m] : shard.measurements) {
       shard_merges += m.compact(sealed_before);
@@ -601,62 +574,47 @@ std::size_t Database::maintain(TimePoint now, Duration retention) {
 
 std::uint64_t Database::compactions() const {
   std::uint64_t total = 0;
-  for (const Shard& shard : shards_) {
-    std::lock_guard<std::mutex> lock(shard.mu);
-    total += shard.compactions;
-  }
+  for (const Shard& shard : shards_) total += shard.compactions;
   return total;
 }
 
 std::uint64_t Database::failed_writes() const {
   std::uint64_t total = 0;
-  for (const Shard& shard : shards_) {
-    std::lock_guard<std::mutex> lock(shard.mu);
-    total += shard.failed_writes;
-  }
+  for (const Shard& shard : shards_) total += shard.failed_writes;
   return total;
 }
 
 void Database::set_shard_write_fault(std::size_t shard, bool faulted) {
   SGXO_CHECK(shard < shards_.size());
-  std::lock_guard<std::mutex> lock(shards_[shard].mu);
   shards_[shard].write_fault = faulted;
 }
 
 bool Database::shard_write_fault(std::size_t shard) const {
   SGXO_CHECK(shard < shards_.size());
-  std::lock_guard<std::mutex> lock(shards_[shard].mu);
   return shards_[shard].write_fault;
 }
 
 std::uint64_t Database::shard_failed_writes(std::size_t shard) const {
   SGXO_CHECK(shard < shards_.size());
-  std::lock_guard<std::mutex> lock(shards_[shard].mu);
   return shards_[shard].failed_writes;
 }
 
 void Database::set_shard_read_horizon(std::size_t shard,
                                       std::optional<TimePoint> horizon) {
   SGXO_CHECK(shard < shards_.size());
-  std::lock_guard<std::mutex> lock(shards_[shard].mu);
   shards_[shard].read_horizon = horizon;
 }
 
 std::optional<TimePoint> Database::shard_read_horizon(
     std::size_t shard) const {
   SGXO_CHECK(shard < shards_.size());
-  std::lock_guard<std::mutex> lock(shards_[shard].mu);
   return shards_[shard].read_horizon;
 }
 
 std::optional<TimePoint> Database::effective_read_horizon(
     std::size_t shard) const {
   SGXO_CHECK(shard < shards_.size());
-  std::optional<TimePoint> local;
-  {
-    std::lock_guard<std::mutex> lock(shards_[shard].mu);
-    local = shards_[shard].read_horizon;
-  }
+  const std::optional<TimePoint>& local = shards_[shard].read_horizon;
   if (!read_horizon_.has_value()) return local;
   if (!local.has_value()) return read_horizon_;
   return std::min(*read_horizon_, *local);
@@ -668,7 +626,6 @@ std::optional<TimePoint> Database::newest_time(
   for (std::size_t idx = 0; idx < shards_.size(); ++idx) {
     const std::optional<TimePoint> horizon = effective_read_horizon(idx);
     const Shard& shard = shards_[idx];
-    std::lock_guard<std::mutex> lock(shard.mu);
     const auto it = shard.measurements.find(measurement);
     if (it == shard.measurements.end()) continue;
     const auto consider = [&](std::optional<TimePoint> t) {

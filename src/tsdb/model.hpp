@@ -6,8 +6,9 @@
 // sliding-window queries (paper Listing 1) against it.
 //
 // The store is sharded: series are routed by an FNV-1a hash of
-// (measurement, tag set) onto N independent lock domains, so concurrent
-// ingest and query fan-out never contend on one global lock. Each series
+// (measurement, tag set) onto N shards, each with its own write-fault and
+// stale-read state; queries fold the shards one after another and merge
+// the partials to the 1-shard result bit for bit. Each series
 // keeps its points in time-partitioned chunks (sealed chunks are merged by
 // background compaction, retention drops whole chunks at a time) and
 // maintains precomputed rollup levels (10 s / 60 s bucket summaries) that
@@ -19,7 +20,6 @@
 #include <functional>
 #include <iterator>
 #include <map>
-#include <mutex>
 #include <optional>
 #include <span>
 #include <string>
@@ -268,7 +268,7 @@ class Measurement {
 };
 
 struct DatabaseConfig {
-  /// Independent lock domains; series are routed by FNV-1a hash.
+  /// Partitions of the series space; series are routed by FNV-1a hash.
   std::size_t shards = 1;
   /// Width of the time partitions within each series.
   Duration chunk_width = Duration::minutes(10);
@@ -278,6 +278,10 @@ struct DatabaseConfig {
 
 /// The database: measurements by name, sharded by series hash, plus an
 /// optional retention horizon.
+///
+/// Single-threaded by contract: the simulation has one control loop, so
+/// ingest, maintenance and queries never overlap and the store takes no
+/// locks. Callers must not share a Database across threads.
 ///
 /// Fault-injection surface: writes can be made to fail (samples are lost,
 /// as when the real InfluxDB endpoint is unreachable) and reads can be
@@ -312,11 +316,10 @@ class Database {
     double value = 0.0;
   };
   /// The write path: renders each sample's series key into one reused
-  /// buffer, takes each shard lock once and appends there; the owning
-  /// Tags are built only when a sample creates its series. Relative order
-  /// of samples routed to the same shard is preserved. Samples routed to
-  /// a shard under a write fault (global or on that shard) are dropped and
-  /// counted. Returns how many samples were accepted. Throws
+  /// buffer, routes it and appends it to its shard, in batch order; the
+  /// owning Tags are built only when a sample creates its series. Samples
+  /// routed to a shard under a write fault (global or on that shard) are
+  /// dropped and counted. Returns how many samples were accepted. Throws
   /// ContractViolation, before any sample of the batch lands, on an empty
   /// measurement name or tags out of key order.
   std::size_t write_many(std::span<const Sample> batch);
@@ -335,12 +338,11 @@ class Database {
 
   /// Visits every series of a measurement in canonical tags_key order —
   /// identical to the 1-shard iteration order, whatever the shard count.
-  /// All shard locks are held for the duration of the visit.
   void for_each_series(const std::string& measurement,
                        const std::function<void(const Series&)>& f) const;
 
-  /// Visits the series of one shard (tags_key order within the shard),
-  /// holding only that shard's lock. The executor's fan-out path.
+  /// Visits the series of one shard (tags_key order within the shard).
+  /// The executor's per-shard scan.
   void for_each_series_in_shard(
       const std::string& measurement, std::size_t shard,
       const std::function<void(const std::string&, const Series&)>& f) const;
@@ -402,7 +404,6 @@ class Database {
 
  private:
   struct Shard {
-    mutable std::mutex mu;
     std::map<std::string, Measurement, std::less<>> measurements;
     bool write_fault = false;
     std::uint64_t failed_writes = 0;

@@ -7,7 +7,6 @@
 #include <limits>
 #include <optional>
 #include <string>
-#include <thread>
 
 #include "common/error.hpp"
 #include "tsdb/ql/lexer.hpp"
@@ -65,9 +64,6 @@ constexpr std::int64_t kInt64Min = std::numeric_limits<std::int64_t>::min();
 /// raw scan; narrower windows (the scheduler's 25 s Listing-1 slide) stay
 /// raw and exact.
 constexpr std::int64_t kRollupMinBuckets = 16;
-
-/// Below this many points a thread fan-out costs more than it saves.
-constexpr std::size_t kParallelMinPoints = 16'384;
 
 std::int64_t floor_div(std::int64_t a, std::int64_t b) {
   std::int64_t q = a / b;
@@ -299,7 +295,7 @@ bool row_matches(const Row& row, const Predicate& predicate, TimePoint now,
                  static_cast<double>(bound_us));
 }
 
-/// Everything a measurement scan needs, resolved once before the fan-out:
+/// Everything a measurement scan needs, resolved once before any shard:
 /// integer window bounds from the time predicates, residual per-point
 /// predicates, and the rollup level (if the statement and window qualify).
 struct ScanSpec {
@@ -411,8 +407,6 @@ ScanSpec resolve_scan(const SelectStmt& stmt, const std::string& measurement,
 }
 
 /// Folds one shard of a measurement into per-group partial aggregates.
-/// Holds only that shard's lock; never throws (parameters were resolved
-/// before the fan-out), so it is safe on a worker thread.
 GroupMap scan_shard(const Database& db, const ScanSpec& spec,
                     std::size_t shard, ShardScanStats* stats) {
   GroupMap groups;
@@ -604,7 +598,7 @@ ResultSet exec_node(const SelectStmt& stmt, const Database& db, TimePoint now,
                     const QueryParams& params, const ExecOptions& options,
                     const QueryAnalysis& analysis);
 
-/// Fan-out path for `FROM "measurement"`.
+/// Shard-by-shard scan for `FROM "measurement"`.
 ResultSet exec_scan(const SelectStmt& stmt, const std::string& measurement,
                     const Database& db, TimePoint now,
                     const QueryParams& params, const ExecOptions& options,
@@ -622,50 +616,17 @@ ResultSet exec_scan(const SelectStmt& stmt, const std::string& measurement,
     }
   }
 
-  bool parallel = false;
-  switch (options.mode) {
-    case ScanMode::kSerial: parallel = false; break;
-    case ScanMode::kParallel: parallel = shard_count > 1; break;
-    case ScanMode::kAuto:
-      parallel = shard_count > 1 &&
-                 std::thread::hardware_concurrency() > 1 &&
-                 db.points_in(measurement) >= kParallelMinPoints;
-      break;
-  }
-
-  std::vector<GroupMap> partials(shard_count);
   const auto scan_one = [&](std::size_t s) {
-    ShardScanStats local;
-    partials[s] = scan_shard(db, spec, s,
-                             stats != nullptr ? &local : nullptr);
-    if (stats != nullptr) {
-      stats->shards[s].series += local.series;
-      stats->shards[s].points += local.points;
-    }
+    return scan_shard(db, spec, s,
+                      stats != nullptr ? &stats->shards[s] : nullptr);
   };
 
-  if (parallel) {
-    const unsigned hw = std::max(1u, std::thread::hardware_concurrency());
-    const std::size_t workers =
-        std::min<std::size_t>(shard_count, std::max(2u, hw));
-    std::vector<std::thread> threads;
-    threads.reserve(workers - 1);
-    for (std::size_t w = 1; w < workers; ++w) {
-      threads.emplace_back([&, w] {
-        for (std::size_t s = w; s < shard_count; s += workers) scan_one(s);
-      });
-    }
-    for (std::size_t s = 0; s < shard_count; s += workers) scan_one(s);
-    for (std::thread& thread : threads) thread.join();
-  } else {
-    for (std::size_t s = 0; s < shard_count; ++s) scan_one(s);
-  }
-
-  // Merge partials in shard order. Aggregates are order-independent, so
-  // this produces the 1-shard fold bit for bit.
-  GroupMap merged = std::move(partials[0]);
+  // Fold shards 0..n-1 one after another and merge each partial in shard
+  // order. Aggregates are order-independent, so this produces the 1-shard
+  // fold bit for bit.
+  GroupMap merged = scan_one(0);
   for (std::size_t s = 1; s < shard_count; ++s) {
-    for (auto& [key, group] : partials[s]) {
+    for (auto& [key, group] : scan_one(s)) {
       const auto it = merged.find(key);
       if (it == merged.end()) {
         merged.emplace(key, std::move(group));

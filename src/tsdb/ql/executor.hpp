@@ -6,14 +6,17 @@
 // projected fields. A WHERE clause filters rows; GROUP BY + projections
 // aggregate them.
 //
-// Measurement scans fan out across the database's shards: each shard is
-// folded into partial aggregates under its own lock (optionally on its own
-// thread), and the partials are merged in shard order. Every aggregate is
+// Measurement scans walk the database's shards one after another on the
+// calling thread: each shard is folded into partial aggregates, and the
+// partials are merged in shard order. Every aggregate is
 // order-independent (count/sum additive, min/max lattice joins, first/last
 // with lexicographic (time, value) tie-breaks, quantiles over a mergeable
 // sketch), so the merged result is bit-identical to a 1-shard scan. Wide
 // windows read precomputed rollup buckets instead of raw points when the
 // statement qualifies (see DESIGN.md §12).
+//
+// Single-threaded by contract, like the Database it reads: execute() runs
+// on the caller's thread, starts none, and takes no locks.
 #pragma once
 
 #include <cstdint>
@@ -72,16 +75,9 @@ struct ExecStats {
   std::int64_t rollup_level_us = 0;
 };
 
-enum class ScanMode {
-  kAuto,      // threads when hardware and data size justify them
-  kSerial,    // one shard after another on the calling thread
-  kParallel,  // force one task per shard (tests exercise the thread path)
-};
-
 struct QueryAnalysis;  // opaque; produced by analyze(), owned by callers
 
 struct ExecOptions {
-  ScanMode mode = ScanMode::kAuto;
   ExecStats* stats = nullptr;
   /// Statement analysis cached at prepare time (rollup eligibility per
   /// node). nullptr = analyze on the fly.

@@ -1,6 +1,5 @@
 #include "tsdb/ql/lexer.hpp"
 
-#include <atomic>
 #include <cctype>
 
 namespace sgxo::tsdb::ql {
@@ -57,20 +56,14 @@ std::int64_t unit_multiplier(const std::string& unit, std::size_t offset) {
   fail("unknown duration unit '" + unit + "'", offset);
 }
 
+std::uint64_t g_parse_work = 0;
+
 }  // namespace
 
-namespace {
-std::atomic<std::uint64_t> g_parse_work{0};
-}  // namespace
-
-std::uint64_t parse_work_count() {
-  return g_parse_work.load(std::memory_order_relaxed);
-}
+std::uint64_t parse_work_count() { return g_parse_work; }
 
 namespace detail {
-void count_parse_work() {
-  g_parse_work.fetch_add(1, std::memory_order_relaxed);
-}
+void count_parse_work() { ++g_parse_work; }
 }  // namespace detail
 
 std::vector<Token> lex(const std::string& query) {

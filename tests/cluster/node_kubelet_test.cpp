@@ -2,6 +2,7 @@
 
 #include <map>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "cluster/kubelet.hpp"
@@ -216,10 +217,13 @@ TEST_F(KubeletFixture, PodStatsExposeMemoryUsage) {
   kubelet_.admit_pod(
       standard_pod("mem", 2_GiB, 2_GiB, Duration::seconds(60)));
   sim_.run_until(TimePoint::epoch() + Duration::seconds(10));
-  const auto stats = kubelet_.pod_stats();
+  std::vector<std::pair<PodName, Bytes>> stats;
+  kubelet_.for_each_pod_stat([&](const PodName& pod, Bytes memory_usage) {
+    stats.emplace_back(pod, memory_usage);
+  });
   ASSERT_EQ(stats.size(), 1u);
-  EXPECT_EQ(stats[0].pod, "mem");
-  EXPECT_EQ(stats[0].memory_usage, 2_GiB);
+  EXPECT_EQ(stats[0].first, "mem");
+  EXPECT_EQ(stats[0].second, 2_GiB);
 }
 
 TEST_F(KubeletFixture, PodPidsListed) {
@@ -260,13 +264,15 @@ TEST_F(KubeletFixture, PodStatsAndPidsReadEachPodsOwnContainers) {
   const std::vector<PodName> active{"a-enclave", "b-sidecar"};
   ASSERT_EQ(kubelet_.active_pods(), active);
   const ContainerRuntime& runtime = node_.runtime();
-  const auto stats = kubelet_.pod_stats();
+  std::vector<std::pair<PodName, Bytes>> stats;
+  kubelet_.for_each_pod_stat([&](const PodName& pod, Bytes memory_usage) {
+    stats.emplace_back(pod, memory_usage);
+  });
   ASSERT_EQ(stats.size(), 2u);
-  for (const Kubelet::PodStats& stat : stats) {
-    EXPECT_EQ(stat.memory_usage, runtime.pod_memory_usage(stat.pod))
-        << stat.pod;
+  for (const auto& [pod, memory_usage] : stats) {
+    EXPECT_EQ(memory_usage, runtime.pod_memory_usage(pod)) << pod;
   }
-  EXPECT_EQ(stats[1].memory_usage, 1_GiB);
+  EXPECT_EQ(stats[1].second, 1_GiB);
   std::map<PodName, std::vector<sgx::Pid>> expected;
   for (const PodName& pod : active) {
     for (const ContainerId id : runtime.containers_of(pod)) {

@@ -13,8 +13,7 @@
 // stores, covering: windows straddling chunk boundaries, rollup-eligible
 // wide windows next to raw narrow ones, GROUP BY time() at intervals that
 // do and do not divide the rollup levels, quantile sketches, the nested
-// Listing-1 shape, LIMIT/OFFSET, and post-retention horizons. The forced
-// thread fan-out path must agree too.
+// Listing-1 shape, LIMIT/OFFSET, and post-retention horizons.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -173,27 +172,18 @@ std::string random_query(Rng& rng) {
   return text;
 }
 
-/// Runs `text` on every store and checks the N-shard results (serial and,
-/// for the 4-shard store, forced-parallel) against the 1-shard reference.
+/// Runs `text` on every store and checks the N-shard results against the
+/// 1-shard reference.
 void check_query(StoreSet& set, const std::string& text, TimePoint now,
                  const std::string& context) {
   const ql::PreparedQuery prepared = ql::PreparedQuery::prepare(text);
   const ql::ResultSet want = prepared.execute(set.reference(), now);
   for (std::size_t i = 1; i < set.stores.size(); ++i) {
     Database& db = *set.stores[i];
-    ql::ExecOptions serial;
-    serial.mode = ql::ScanMode::kSerial;
     expect_bit_identical(
-        want, prepared.execute(db, now, {}, serial),
+        want, prepared.execute(db, now),
         context + " [" + std::to_string(db.shard_count()) + " shards] " +
             text);
-    if (db.shard_count() == 4) {
-      ql::ExecOptions parallel;
-      parallel.mode = ql::ScanMode::kParallel;
-      expect_bit_identical(
-          want, prepared.execute(db, now, {}, parallel),
-          context + " [4 shards, threaded] " + text);
-    }
   }
 }
 
@@ -232,7 +222,7 @@ TEST_P(TsdbDiffTest, EquivalenceHoldsAfterRetentionAndCompaction) {
 }
 
 // 8 ingest realizations × (30 + 12 + 1) queries ≈ 344 generated queries,
-// each checked on three shard counts plus the threaded path.
+// each checked on three shard counts.
 INSTANTIATE_TEST_SUITE_P(Seeds, TsdbDiffTest,
                          ::testing::Values(1u, 2u, 3u, 4u, 5u, 6u, 7u, 8u));
 
@@ -348,17 +338,10 @@ TEST(TsdbDiffTargeted, RetentionErasesDeadSeriesIdentically) {
     const ql::PreparedQuery prepared = ql::PreparedQuery::prepare(text);
     const ql::ResultSet want = prepared.execute(*stores[0], now);
     for (std::size_t i = 1; i < stores.size(); ++i) {
-      for (const ql::ScanMode mode :
-           {ql::ScanMode::kSerial, ql::ScanMode::kParallel}) {
-        ql::ExecOptions options;
-        options.mode = mode;
-        expect_bit_identical(
-            want, prepared.execute(*stores[i], now, {}, options),
-            "dead-series erasure [" +
-                std::to_string(stores[i]->shard_count()) + " shards, " +
-                (mode == ql::ScanMode::kSerial ? "serial" : "parallel") +
-                "] " + text);
-      }
+      expect_bit_identical(
+          want, prepared.execute(*stores[i], now),
+          "dead-series erasure [" +
+              std::to_string(stores[i]->shard_count()) + " shards] " + text);
     }
   }
 }
@@ -395,9 +378,7 @@ TEST(TsdbDiffTargeted, ShardStaleReadHorizonFallsBackToRawExactly) {
        }) {
     const ql::PreparedQuery prepared = ql::PreparedQuery::prepare(text);
     const ql::ResultSet want = prepared.execute(flat, at(2400));
-    ql::ExecOptions serial;
-    serial.mode = ql::ScanMode::kSerial;
-    expect_bit_identical(want, prepared.execute(sharded, at(2400), {}, serial),
+    expect_bit_identical(want, prepared.execute(sharded, at(2400)),
                          std::string("stale-read horizon ") + text);
   }
 }
@@ -488,7 +469,6 @@ TEST(TsdbDiffTargeted, SeriesQuietBeforeTheWindowAreSkippedExactly) {
       for (const Database* db : {full.get(), without_stale.get()}) {
         ql::ExecStats stats;
         ql::ExecOptions options;
-        options.mode = ql::ScanMode::kSerial;
         options.stats = &stats;
         expect_bit_identical(want, prepared.execute(*db, now, {}, options),
                              context);

@@ -2,9 +2,10 @@
 // measurement and tags, with write(measurement, Tags) a one-sample call
 // of it. These tests feed the same samples through batches and through
 // write() and require identical series (tags, key, points, rollups,
-// shard) and identical ClusterMetrics answers at 1, 2 and 4 shards, and
-// pin down what happens to tags passed out of key order: they are
-// rejected before any sample of the batch lands.
+// shard) and identical ClusterMetrics answers at 1, 2 and 4 shards, also
+// with one shard write-faulted, and pin down what happens to tags passed
+// out of key order: they are rejected before any sample of the batch
+// lands.
 #include <gtest/gtest.h>
 
 #include <array>
@@ -162,6 +163,51 @@ TEST_P(WritePathEquivalence, BatchesAndTagMapWritesBuildIdenticalSeries) {
                 render(b.memory_per_node(now)));
       EXPECT_EQ(a.staleness(now), b.staleness(now));
     }
+  }
+}
+
+TEST_P(WritePathEquivalence, ShardWriteFaultDropsTheSameSamplesInOneBatch) {
+  // One shard write-faulted: a single write_many of the whole mixed
+  // stream accepts, drops and counts exactly what write() does sample by
+  // sample, and leaves every series with the same points in the same
+  // order.
+  const std::size_t shards = GetParam();
+  const std::size_t faulted = 1 % shards;
+  const std::vector<OwnedSample> stream = make_stream(7);
+  Database batched{shards};
+  Database one_by_one{shards};
+  batched.set_shard_write_fault(faulted, true);
+  one_by_one.set_shard_write_fault(faulted, true);
+
+  std::vector<std::vector<TagView>> views;
+  views.reserve(stream.size());
+  for (const OwnedSample& s : stream) views.push_back(tag_views(s.tags));
+  std::vector<Database::Sample> batch;
+  for (std::size_t i = 0; i < stream.size(); ++i) {
+    batch.push_back({stream[i].measurement, views[i], stream[i].time,
+                     stream[i].value});
+  }
+  const std::size_t accepted = batched.write_many(batch);
+  std::size_t accepted_one_by_one = 0;
+  for (const OwnedSample& s : stream) {
+    if (one_by_one.write(s.measurement, s.tags, s.time, s.value)) {
+      ++accepted_one_by_one;
+    }
+  }
+
+  EXPECT_EQ(accepted, accepted_one_by_one);
+  EXPECT_GT(batched.shard_failed_writes(faulted), 0u);
+  EXPECT_EQ(accepted + batched.failed_writes(), stream.size());
+  if (shards > 1) {
+    EXPECT_GT(accepted, 0u);
+  }
+  for (std::size_t shard = 0; shard < shards; ++shard) {
+    EXPECT_EQ(batched.shard_failed_writes(shard),
+              one_by_one.shard_failed_writes(shard))
+        << "shard " << shard;
+  }
+  for (const char* const m : {kEpc, kMemory}) {
+    EXPECT_EQ(snapshot(batched, m), snapshot(one_by_one, m));
   }
 }
 
